@@ -1,4 +1,5 @@
-// Ablation — heterogeneous link latencies (net/engine.h LatencyModel).
+// Ablation — heterogeneous link latencies (net/link_model.h LinkModel
+// delays).
 //
 // The paper's synchronous model delivers every message in one round. Real
 // overlay links vary; completion time of a tree pass stretches to the sum
@@ -7,6 +8,8 @@
 #include "bench/bench_util.h"
 
 #include "agg/convergecast.h"
+#include "net/link_model.h"
+#include "net/session.h"
 
 int main(int argc, char** argv) {
   using namespace nf;
@@ -41,16 +44,14 @@ int main(int argc, char** argv) {
       // The driver owns its engines; thread latency through the fault-free
       // path by running phases manually.
       const core::NetFilter nf(cfg);
-      net::LatencyModel lat;
-      lat.max_delay = max_delay;
-      lat.seed = cli.seed + 1;
 
       // Phase 1 + 2 via the building blocks over one configured engine.
       net::Engine engine(env.overlay, meter);
-      engine.set_latency_model(lat);
+      engine.set_link_model(net::LinkModel{
+          .min_delay = 1, .max_delay = max_delay, .seed = cli.seed + 1});
       engine.set_fault_model(cfg.fault);
 
-      agg::Convergecast<std::vector<Value>> phase1(
+      agg::ConvergecastPhase<std::vector<Value>> phase1(
           env.hierarchy, net::TrafficCategory::kFiltering,
           [&](PeerId p) {
             return nf.local_group_aggregates(env.workload.local_items(p));
@@ -61,7 +62,8 @@ int main(int argc, char** argv) {
           [&](const std::vector<Value>&) {
             return std::uint64_t{4} * 3 * 100;
           });
-      std::uint64_t rounds = engine.run(phase1, 100000);
+      std::uint64_t rounds = net::run_phase(engine, phase1, 100000, nullptr,
+                                            {.open_on_message = false});
       if (!phase1.complete()) {
         table.row(max_delay, loss, "stall", 0.0, "NO");
         continue;
@@ -73,7 +75,7 @@ int main(int argc, char** argv) {
           heavy.heavy[i][j] = phase1.result()[i * 100 + j] >= t;
         }
       }
-      agg::Convergecast<LocalItems> phase2(
+      agg::ConvergecastPhase<LocalItems> phase2(
           env.hierarchy, net::TrafficCategory::kAggregation,
           [&](PeerId p) {
             return nf.materialize_candidates(env.workload.local_items(p),
@@ -81,7 +83,8 @@ int main(int argc, char** argv) {
           },
           [](LocalItems& a, LocalItems&& b) { a.merge_add(b); },
           [](const LocalItems& m) { return m.size() * 8; });
-      rounds += engine.run(phase2, 100000);
+      rounds += net::run_phase(engine, phase2, 100000, nullptr,
+                               {.open_on_message = false});
       LocalItems frequent = phase2.result();
       frequent.retain([&](ItemId, Value v) { return v >= t; });
       table.row(max_delay, loss, rounds, meter.per_peer(),

@@ -62,4 +62,14 @@ struct NetFilterConfig {
   }
 };
 
+/// The one engine set-up for runs a NetFilterConfig drives: applies its
+/// threads, fault model, link model and obs context to a fresh engine.
+inline void configure_engine(net::Engine& engine,
+                             const NetFilterConfig& config) {
+  engine.set_threads(config.threads);
+  engine.set_fault_model(config.fault);
+  engine.set_link_model(config.link);
+  engine.set_obs(config.obs);
+}
+
 }  // namespace nf::core

@@ -26,16 +26,7 @@ IfiSessionPhases::IfiSessionPhases(const NetFilter& netfilter,
             netfilter_.local_group_aggregates_into(items_.local_items(p),
                                                    out);
           },
-          // The paper's model charges sa bytes per item group per filter
-          // (§IV-A) regardless of sparsity; kVarintDelta prices the actual
-          // varint encoding — the slab length, i.e. flat_bytes = 0.
-          /*flat_bytes=*/
-          netfilter.config().wire_model == WireModel::kFlatFields
-              ? std::uint64_t{netfilter.config().wire.aggregate_bytes} *
-                    netfilter.config().num_filters *
-                    netfilter.config().num_groups
-              : 0,
-          netfilter.config().obs),
+          netfilter.filtering_flat_bytes(), netfilter.config().obs),
       dissemination_(
           hierarchy, net::TrafficCategory::kDissemination,
           /*on_receive=*/
@@ -51,15 +42,7 @@ IfiSessionPhases::IfiSessionPhases(const NetFilter& netfilter,
             ensure(ready_[p] != 0, "peer aggregating before materialization");
             return partial_.take(p);
           },
-          /*wire_bytes=*/
-          netfilter.config().wire_model == WireModel::kFlatFields
-              ? agg::FlatPairsConvergecastPhase::WireBytesFn(
-                    [this](const LocalItems& m) -> std::uint64_t {
-                      return m.size() *
-                             netfilter_.config().wire.item_value_pair();
-                    })
-              : agg::FlatPairsConvergecastPhase::WireBytesFn(),
-          netfilter.config().obs),
+          netfilter.pair_wire_bytes(), netfilter.config().obs),
       ready_(hierarchy.num_peers(), false) {
   require(threshold >= 1, "threshold must be >= 1");
   partial_.configure(items);
@@ -101,29 +84,16 @@ net::PhaseId IfiSessionPhases::register_phases(
 // open it here — the per-peer phase-2 wave starts this very round.
 void IfiSessionPhases::finish_filtering(net::PhaseContext& ctx,
                                         std::span<const Value> global) {
-  const NetFilterConfig& cfg = netfilter_.config();
-  const std::uint32_t f = cfg.num_filters;
-  const std::uint32_t g = cfg.num_groups;
-  heavy_.heavy.assign(f, std::vector<bool>(g, false));
-  for (std::uint32_t i = 0; i < f; ++i) {
-    for (std::uint32_t j = 0; j < g; ++j) {
-      heavy_.heavy[i][j] =
-          global[static_cast<std::size_t>(i) * g + j] >= threshold_;
-    }
-  }
+  heavy_ = netfilter_.heavy_groups(global, threshold_);
   filtering_rounds_ = ctx.round() + 1;
   obs::add_counter(obs_, "netfilter/heavy_groups", heavy_.total());
 
-  // The wire always carries the delta-coded heavy id list; the flat model
-  // charges sg per heavy group id, kVarintDelta the encoded length itself
-  // (Algorithm 2, line 1). Encoded once here at the root — every forward
-  // down the tree is a span copy.
+  // The wire always carries the delta-coded heavy id list (Algorithm 2,
+  // line 1). Encoded once here at the root — every forward down the tree
+  // is a span copy.
   const net::Bytes encoded = encode_heavy_groups(heavy_);
-  const std::uint64_t dissemination_bytes =
-      cfg.wire_model == WireModel::kFlatFields
-          ? heavy_.total() * cfg.wire.group_id_bytes
-          : encoded.size();
-  dissemination_.set_payload(encoded, dissemination_bytes);
+  dissemination_.set_payload(
+      encoded, netfilter_.dissemination_wire_bytes(heavy_, encoded));
   ctx.open_phase(dissemination_pid_);
 }
 

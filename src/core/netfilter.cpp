@@ -1,7 +1,6 @@
 #include "core/netfilter.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "agg/flat_phases.h"
 #include "common/arena.h"
@@ -225,46 +224,19 @@ LocalItems NetFilter::materialize_candidates(const LocalItems& items,
   return out;
 }
 
-HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
-                                           const agg::Hierarchy& hierarchy,
-                                           net::Overlay& overlay,
-                                           net::TrafficMeter& meter,
-                                           Value threshold,
-                                           NetFilterStats* stats) const {
-  require(threshold >= 1, "threshold must be >= 1");
-  obs::ScopedPhase phase(config_.obs, "filtering");
-  const std::uint32_t g = config_.num_groups;
+std::uint64_t NetFilter::filtering_flat_bytes() const {
+  return config_.wire_model == WireModel::kFlatFields
+             ? std::uint64_t{config_.wire.aggregate_bytes} *
+                   config_.num_filters * config_.num_groups
+             : 0;
+}
+
+HeavyGroupSet NetFilter::heavy_groups(std::span<const Value> global,
+                                      Value threshold) const {
   const std::uint32_t f = config_.num_filters;
-  const std::uint64_t before = meter.total(net::TrafficCategory::kFiltering);
-
-  // Under the paper's model every peer propagates sa bytes per item group
-  // per filter (§IV-A: candidate filtering cost = sa·f·g), regardless of
-  // sparsity; under kVarintDelta the actual varint encoding is priced —
-  // which is exactly the encoded slab length, so flat_bytes=0 (charge the
-  // wire length) reproduces the legacy byte tallies bit for bit.
-  const std::uint64_t flat_bytes =
-      config_.wire_model == WireModel::kFlatFields
-          ? std::uint64_t{config_.wire.aggregate_bytes} * f * g
-          : 0;
-
-  agg::FlatAggregateConvergecast cast(
-      hierarchy, net::TrafficCategory::kFiltering, /*width=*/f * g,
-      /*local=*/
-      [&](PeerId p, std::span<std::uint64_t> out) {
-        local_group_aggregates_into(items.local_items(p), out);
-      },
-      flat_bytes, config_.obs);
-
-  net::Engine engine(overlay, meter);
-  engine.set_threads(config_.threads);
-  engine.set_fault_model(config_.fault);
-  engine.set_link_model(config_.link);
-  engine.set_obs(config_.obs);
-  const std::uint64_t rounds =
-      engine.run(cast, config_.max_rounds_per_phase);
-  ensure(cast.complete(), "candidate filtering did not complete");
-
-  const std::span<const Value> global = cast.result();
+  const std::uint32_t g = config_.num_groups;
+  ensure(global.size() == static_cast<std::size_t>(f) * g,
+         "aggregate span size mismatch");
   HeavyGroupSet heavy;
   heavy.heavy.assign(f, std::vector<bool>(g, false));
   for (std::uint32_t i = 0; i < f; ++i) {
@@ -273,6 +245,50 @@ HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
           global[static_cast<std::size_t>(i) * g + j] >= threshold;
     }
   }
+  return heavy;
+}
+
+std::uint64_t NetFilter::dissemination_wire_bytes(
+    const HeavyGroupSet& heavy, std::span<const std::uint8_t> encoded) const {
+  return config_.wire_model == WireModel::kFlatFields
+             ? heavy.total() * config_.wire.group_id_bytes
+             : encoded.size();
+}
+
+std::function<std::uint64_t(const LocalItems&)> NetFilter::pair_wire_bytes()
+    const {
+  if (config_.wire_model != WireModel::kFlatFields) return {};
+  return [pair = config_.wire.item_value_pair()](const LocalItems& m) {
+    return m.size() * pair;
+  };
+}
+
+HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
+                                           const agg::Hierarchy& hierarchy,
+                                           net::Overlay& overlay,
+                                           net::TrafficMeter& meter,
+                                           Value threshold,
+                                           NetFilterStats* stats) const {
+  require(threshold >= 1, "threshold must be >= 1");
+  obs::ScopedPhase phase(config_.obs, "filtering");
+  const std::uint64_t before = meter.total(net::TrafficCategory::kFiltering);
+
+  agg::FlatAggregateConvergecastPhase cast(
+      hierarchy, net::TrafficCategory::kFiltering,
+      /*width=*/config_.num_filters * config_.num_groups,
+      /*local=*/
+      [&](PeerId p, std::span<std::uint64_t> out) {
+        local_group_aggregates_into(items.local_items(p), out);
+      },
+      filtering_flat_bytes(), config_.obs);
+
+  net::Engine engine(overlay, meter);
+  configure_engine(engine, config_);
+  const std::uint64_t rounds =
+      net::run_phase(engine, cast, config_.max_rounds_per_phase, config_.obs,
+                     {.open_on_message = false});
+  ensure(cast.complete(), "candidate filtering did not complete");
+  HeavyGroupSet heavy = heavy_groups(cast.result(), threshold);
 
   if (stats != nullptr) {
     stats->threshold = threshold;
@@ -296,19 +312,13 @@ NetFilterResult NetFilter::verify_candidates(
       meter.total(net::TrafficCategory::kAggregation);
 
   // Phase 2a: the root propagates the heavy group identifiers downwards
-  // (Algorithm 2, line 1). The wire always carries the delta-coded id list;
-  // the flat model charges sg per heavy group id, kVarintDelta charges the
-  // encoded length itself.
+  // (Algorithm 2, line 1). The wire always carries the delta-coded id list.
   const net::Bytes heavy_encoded = encode_heavy_groups(heavy);
-  const std::uint64_t dissemination_bytes =
-      config_.wire_model == WireModel::kFlatFields
-          ? heavy.total() * config_.wire.group_id_bytes
-          : heavy_encoded.size();
 
   // Phase 2b: peers materialize their partial candidate sets on receipt
   // (Algorithm 2, line 2) and the <id, value> pairs merge bottom-up
   // (lines 3-4). The downward wave strictly precedes the upward one — no
-  // peer can contribute before it has the heavy list — so the two protocols
+  // peer can contribute before it has the heavy list — so the two phases
   // run back to back.
   // Candidate rows live in one flat slab (disjoint spans per peer, written
   // from the receiving peer's shard); the flags are a byte arena so
@@ -317,50 +327,43 @@ NetFilterResult NetFilter::verify_candidates(
   partial.configure(items);
   PeerArena<bool> ready(overlay.num_peers(), false);
 
-  agg::FlatMulticast down(
-      hierarchy, net::TrafficCategory::kDissemination, heavy_encoded,
-      dissemination_bytes,
+  agg::FlatMulticastPhase down(
+      hierarchy, net::TrafficCategory::kDissemination,
       /*on_receive=*/
-      [&](PeerId p, std::span<const std::uint8_t> body) {
+      [&](net::PhaseContext& ctx, std::span<const std::uint8_t> body) {
+        const PeerId p = ctx.self();
         const HeavyGroupSet hg = decode_heavy_groups(
             body, config_.num_filters, config_.num_groups);
         partial.materialize(p, items.local_items(p), hg, bank_);
         ready[p] = true;
       },
       config_.obs);
+  down.set_payload(heavy_encoded,
+                   dissemination_wire_bytes(heavy, heavy_encoded));
 
   net::Engine engine(overlay, meter);
-  engine.set_threads(config_.threads);
-  engine.set_fault_model(config_.fault);
-  engine.set_link_model(config_.link);
-  engine.set_obs(config_.obs);
+  configure_engine(engine, config_);
   std::uint64_t down_rounds = 0;
   {
     obs::ScopedPhase phase(config_.obs, "dissemination");
-    down_rounds = engine.run(down, config_.max_rounds_per_phase);
+    down_rounds = net::run_phase(engine, down, config_.max_rounds_per_phase,
+                                 config_.obs);
   }
   ensure(down.complete(), "dissemination did not complete");
 
-  // kVarintDelta charges the encoded pair list — the slab bytes themselves —
-  // so an empty WireBytesFn (charge the wire length) is the exact model.
-  agg::FlatPairsConvergecast::WireBytesFn pair_bytes;
-  if (config_.wire_model == WireModel::kFlatFields) {
-    pair_bytes = [this](const LocalItems& m) {
-      return m.size() * config_.wire.item_value_pair();
-    };
-  }
-  agg::FlatPairsConvergecast up(
+  agg::FlatPairsConvergecastPhase up(
       hierarchy, net::TrafficCategory::kAggregation,
       /*local=*/
       [&](PeerId p) {
         ensure(ready[p] != 0, "peer aggregating before materialization");
         return partial.take(p);
       },
-      std::move(pair_bytes), config_.obs);
+      pair_wire_bytes(), config_.obs);
   std::uint64_t up_rounds = 0;
   {
     obs::ScopedPhase phase(config_.obs, "aggregation");
-    up_rounds = engine.run(up, config_.max_rounds_per_phase);
+    up_rounds = net::run_phase(engine, up, config_.max_rounds_per_phase,
+                               config_.obs, {.open_on_message = false});
   }
   ensure(up.complete(), "candidate aggregation did not complete");
 
@@ -429,10 +432,7 @@ NetFilterResult NetFilter::run_pipelined(const ItemSource& items,
   (void)ifi.register_phases(mux, sid, net::PhaseStart::kAllPeers);
 
   net::Engine engine(overlay, meter);
-  engine.set_threads(config_.threads);
-  engine.set_fault_model(config_.fault);
-  engine.set_link_model(config_.link);
-  engine.set_obs(config_.obs);
+  configure_engine(engine, config_);
   const std::uint64_t rounds_total =
       engine.run(mux, config_.max_rounds_per_phase);
   ensure(ifi.complete(), "pipelined netfilter did not complete");

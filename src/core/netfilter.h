@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -164,6 +165,32 @@ class NetFilter {
   /// what each peer materializes in phase 2 (Algorithm 2, line 2).
   [[nodiscard]] LocalItems materialize_candidates(
       const LocalItems& items, const HeavyGroupSet& heavy) const;
+
+  // The charging policy, shared by the barriered and pipelined drivers:
+  // kFlatFields charges the paper's flat field sizes (§IV-A), kVarintDelta
+  // the encoded wire length. Both ship the same encoded bytes.
+
+  /// Modelled bytes of one filtering message: sa·f·g regardless of
+  /// sparsity, or 0 (charge the encoded slab length) under kVarintDelta —
+  /// the flat_bytes argument of the filtering convergecast.
+  [[nodiscard]] std::uint64_t filtering_flat_bytes() const;
+
+  /// Phase-1 thresholding of the global f×g sums (layout as
+  /// local_group_aggregates): a group is heavy iff its sum is >= threshold.
+  [[nodiscard]] HeavyGroupSet heavy_groups(std::span<const Value> global,
+                                           Value threshold) const;
+
+  /// Modelled bytes of one dissemination copy: sg per heavy group id, or
+  /// the length of `encoded` (the wire form of `heavy`) under kVarintDelta.
+  [[nodiscard]] std::uint64_t dissemination_wire_bytes(
+      const HeavyGroupSet& heavy,
+      std::span<const std::uint8_t> encoded) const;
+
+  /// Modelled bytes of one aggregation message: one <id, value> pair per
+  /// candidate, or an empty function (charge the encoded length) under
+  /// kVarintDelta — the wire_bytes argument of the pairs convergecast.
+  [[nodiscard]] std::function<std::uint64_t(const LocalItems&)>
+  pair_wire_bytes() const;
 
   [[nodiscard]] const FilterBank& bank() const { return bank_; }
   [[nodiscard]] const NetFilterConfig& config() const { return config_; }

@@ -45,9 +45,10 @@ class RequestsUp final : public net::Protocol {
     // The engine calls on_round for every alive peer every round, so each
     // requester originates its own request(s) in round 0. One byte per
     // request (not vector<bool>): only the requester's shard touches its
-    // requests' flags, and bytes keep those writes race-free.
+    // requests' flags, and bytes keep those writes race-free. The
+    // requester test comes first, so no shard reads another's flag.
     for (std::size_t i = 0; i < requests_.size(); ++i) {
-      if (started_[i] != 0 || requests_[i].requester != ctx.self()) continue;
+      if (requests_[i].requester != ctx.self() || started_[i] != 0) continue;
       started_[i] = 1;
       forward(ctx,
               Arrived{requests_[i].requester, requests_[i].theta, {}});
@@ -432,9 +433,7 @@ std::vector<FrequentItemsResponse> QueryService::serve_concurrent(
   }
 
   net::Engine engine(overlay, meter);
-  engine.set_threads(config_.threads);
-  engine.set_fault_model(config_.fault);
-  engine.set_obs(obs);
+  configure_engine(engine, config_);
   const std::uint64_t rounds =
       engine.run(mux, config_.max_rounds_per_phase, churn);
 
@@ -515,6 +514,7 @@ std::vector<FrequentItemsResponse> QueryService::serve(
   RequestsUp up(hierarchy, requests, config_.wire.aggregate_bytes);
   {
     net::Engine engine(overlay, meter);
+    configure_engine(engine, config_);
     engine.run(up, 10000);
   }
   ensure(up.arrived().size() == requests.size(),
@@ -550,6 +550,7 @@ std::vector<FrequentItemsResponse> QueryService::serve(
                    config_.wire.item_value_pair());
   {
     net::Engine engine(overlay, meter);
+    configure_engine(engine, config_);
     engine.run(down, 10000);
   }
   auto responses = down.take_delivered();

@@ -286,4 +286,13 @@ void SessionMux::flush_obs_counters() {
   }
 }
 
+std::uint64_t run_phase(Engine& engine, Phase& phase, std::uint64_t max_rounds,
+                        obs::Context* obs, PhaseOptions options,
+                        const ChurnSchedule* schedule) {
+  SessionMux mux(obs);
+  options.start = PhaseStart::kAllPeers;
+  (void)mux.add_phase(mux.add_session(), phase, options);
+  return engine.run(mux, max_rounds, schedule);
+}
+
 }  // namespace nf::net

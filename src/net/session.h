@@ -356,4 +356,20 @@ class SessionMux final : public Protocol {
   std::uint64_t rounds_seen_ = 0;  ///< on_round_begin calls this run
 };
 
+/// Runs `phase` on `engine` as the only phase of one anonymous session —
+/// the one way to run a hierarchy primitive (convergecast, multicast,
+/// flood) on its own. The phase opens at every alive peer on the first
+/// tick: `options.start` is overridden to kAllPeers, since a lone phase
+/// opened on demand would never start. `options.open_on_message` still
+/// matters: a peer that joins mid-run (churn) can receive a message before
+/// its first tick, and buffering the message until that tick (convergecast
+/// style) instead of opening on it (multicast and flood style) moves the
+/// forward it triggers to another callback — another canonical send order
+/// and other lineage parents. `obs` is the mux's context (trace spans for a
+/// named phase, lineage session names); it may differ from the phase's own.
+/// Read the outcome from the phase; returns the rounds executed.
+NF_ENGINE_THREAD std::uint64_t run_phase(
+    Engine& engine, Phase& phase, std::uint64_t max_rounds, obs::Context* obs,
+    PhaseOptions options = {}, const ChurnSchedule* schedule = nullptr);
+
 }  // namespace nf::net

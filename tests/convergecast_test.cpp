@@ -4,13 +4,18 @@
 
 #include <numeric>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/value_map.h"
+#include "net/churn.h"
+#include "net/session.h"
 
 namespace nf::agg {
 namespace {
 
 using net::Engine;
+using net::run_phase;
 using net::Overlay;
 using net::Topology;
 using net::TrafficCategory;
@@ -37,26 +42,27 @@ Topology line(std::uint32_t n) {
 
 TEST(ConvergecastTest, SumsScalarsOverLine) {
   Fixture fx(line(5));
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId p) { return std::uint64_t{p.value() + 1}; },  // 1..5
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 100);
+  run_phase(engine, cast, 100, nullptr, {.open_on_message = false});
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 15u);
 }
 
 TEST(ConvergecastTest, CompletesInHeightRounds) {
   Fixture fx(line(8));  // height 8
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  const std::uint64_t rounds = engine.run(cast, 100);
+  const std::uint64_t rounds =
+      run_phase(engine, cast, 100, nullptr, {.open_on_message = false});
   EXPECT_EQ(cast.result(), 8u);
   // One level per round plus the final quiescence checks.
   EXPECT_LE(rounds, fx.hierarchy.height() + 2);
@@ -65,13 +71,13 @@ TEST(ConvergecastTest, CompletesInHeightRounds) {
 TEST(ConvergecastTest, OneMessagePerNonRootMember) {
   Rng rng(4);
   Fixture fx(net::random_tree(100, 3, rng));
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 200);
+  run_phase(engine, cast, 200, nullptr, {.open_on_message = false});
   EXPECT_EQ(cast.result(), 100u);
   EXPECT_EQ(fx.meter.num_messages(), 99u);
   EXPECT_EQ(fx.meter.total(TrafficCategory::kFiltering), 99u * 4);
@@ -82,7 +88,7 @@ TEST(ConvergecastTest, OneMessagePerNonRootMember) {
 TEST(ConvergecastTest, VectorAggregatesAddElementwise) {
   Rng rng(5);
   Fixture fx(net::random_tree(50, 3, rng));
-  Convergecast<std::vector<std::uint64_t>> cast(
+  ConvergecastPhase<std::vector<std::uint64_t>> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId p) {
         return std::vector<std::uint64_t>{1, p.value(), 2 * p.value()};
@@ -92,7 +98,7 @@ TEST(ConvergecastTest, VectorAggregatesAddElementwise) {
       },
       [](const std::vector<std::uint64_t>& v) { return 4 * v.size(); });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 200);
+  run_phase(engine, cast, 200, nullptr, {.open_on_message = false});
   ASSERT_TRUE(cast.complete());
   const std::uint64_t sum_ids = 50 * 49 / 2;
   EXPECT_EQ(cast.result()[0], 50u);
@@ -113,25 +119,25 @@ TEST(ConvergecastTest, ValueMapMergeMatchesGroundTruth) {
   ValueMap<ItemId, std::uint64_t> truth;
   for (std::uint32_t p = 0; p < 64; ++p) truth.merge_add(local(PeerId(p)));
 
-  Convergecast<ValueMap<ItemId, std::uint64_t>> cast(
+  ConvergecastPhase<ValueMap<ItemId, std::uint64_t>> cast(
       fx.hierarchy, TrafficCategory::kAggregation, local,
       [](auto& a, auto&& b) { a.merge_add(b); },
       [](const auto& m) { return 8 * m.size(); });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 200);
+  run_phase(engine, cast, 200, nullptr, {.open_on_message = false});
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), truth);
 }
 
 TEST(ConvergecastTest, SingletonHierarchyCompletesWithoutTraffic) {
   Fixture fx{Topology(1)};
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{42}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 10);
+  run_phase(engine, cast, 10, nullptr, {.open_on_message = false});
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 42u);
   EXPECT_EQ(fx.meter.total(), 0u);
@@ -139,12 +145,51 @@ TEST(ConvergecastTest, SingletonHierarchyCompletesWithoutTraffic) {
 
 TEST(ConvergecastTest, ResultBeforeCompletionThrows) {
   Fixture fx(line(3));
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   EXPECT_THROW((void)cast.result(), InvalidArgument);
+}
+
+// Why run_phase takes PhaseOptions: under kAllPeers a peer that is down at
+// the first tick and joins later can receive a child's message before its
+// own first tick. Buffering the message (open_on_message = false) defers
+// the merged forward to that tick; opening on it sends the forward from the
+// delivery callback. Same aggregate, different canonical send order.
+TEST(ConvergecastTest, OpenOnMessageReordersALateJoinersForward) {
+  // Root 0 with subtrees 0-1-2 and 0-3-4; relay 1 joins in round 1, just as
+  // leaf 2's round-0 message reaches it.
+  const auto run = [](bool open_on_message) {
+    Topology topo(5);
+    topo.add_edge(PeerId(0), PeerId(1));
+    topo.add_edge(PeerId(1), PeerId(2));
+    topo.add_edge(PeerId(0), PeerId(3));
+    topo.add_edge(PeerId(3), PeerId(4));
+    Fixture fx(std::move(topo));
+    fx.overlay.fail(PeerId(1));
+    net::ChurnSchedule churn;
+    churn.join_at(1, PeerId(1));
+    ConvergecastPhase<std::uint64_t> cast(
+        fx.hierarchy, TrafficCategory::kFiltering,
+        [](PeerId p) { return std::uint64_t{p.value() + 1}; },
+        [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
+        [](const std::uint64_t&) { return std::uint64_t{4}; });
+    Engine engine(fx.overlay, fx.meter);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> sends;
+    engine.set_send_probe([&sends](const net::Envelope& env) {
+      sends.emplace_back(env.from.value(), env.to.value());
+    });
+    run_phase(engine, cast, 100, nullptr,
+              {.open_on_message = open_on_message}, &churn);
+    EXPECT_TRUE(cast.complete());
+    EXPECT_EQ(cast.result(), 1u + 2u + 3u + 4u + 5u);
+    return sends;
+  };
+  using Sends = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  EXPECT_EQ(run(false), (Sends{{2, 1}, {4, 3}, {3, 0}, {1, 0}}));
+  EXPECT_EQ(run(true), (Sends{{2, 1}, {4, 3}, {1, 0}, {3, 0}}));
 }
 
 class ConvergecastTopologyTest
@@ -154,13 +199,13 @@ TEST_P(ConvergecastTopologyTest, SumIsExactOnArbitraryGraphs) {
   const auto [n, seed] = GetParam();
   Rng rng(seed);
   Fixture fx(net::random_connected(n, 4.0, rng));
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId p) { return std::uint64_t{p.value()} * 3 + 1; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 1000);
+  run_phase(engine, cast, 1000, nullptr, {.open_on_message = false});
   ASSERT_TRUE(cast.complete());
   std::uint64_t expect = 0;
   for (std::uint32_t p = 0; p < n; ++p) expect += std::uint64_t{p} * 3 + 1;

@@ -25,6 +25,8 @@
 #include "core/query_service.h"
 #include "core/tuner.h"
 #include "net/engine.h"
+#include "net/link_model.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "obs/context.h"
 #include "obs/export.h"
@@ -35,8 +37,8 @@ namespace {
 
 using net::Engine;
 using net::Envelope;
-using net::LatencyModel;
 using net::LinkFaultModel;
+using net::LinkModel;
 using net::Overlay;
 using net::TrafficCategory;
 using net::TrafficMeter;
@@ -81,14 +83,14 @@ struct RunTrace {
 /// hierarchy) at the given shard count and records everything observable.
 RunTrace run_convergecast(const TestWorld& world, std::uint32_t threads,
                           const LinkFaultModel* fault,
-                          const LatencyModel* latency) {
+                          const LinkModel* latency) {
   const core::NetFilter nf(core::NetFilterConfig{});
   TrafficMeter meter(kPeers);
   Overlay overlay = world.overlay;  // engines never mutate it, but stay safe
   Engine engine(overlay, meter);
   engine.set_threads(threads);
   if (fault != nullptr) engine.set_fault_model(*fault);
-  if (latency != nullptr) engine.set_latency_model(*latency);
+  if (latency != nullptr) engine.set_link_model(*latency);
 
   RunTrace trace;
   engine.set_send_probe([&trace](const Envelope& env) {
@@ -96,7 +98,7 @@ RunTrace run_convergecast(const TestWorld& world, std::uint32_t threads,
                              static_cast<int>(env.category), env.bytes);
   });
 
-  agg::Convergecast<std::vector<Value>> cast(
+  agg::ConvergecastPhase<std::vector<Value>> cast(
       world.hierarchy, TrafficCategory::kFiltering,
       [&](PeerId p) {
         return nf.local_group_aggregates(world.workload.local_items(p));
@@ -105,7 +107,8 @@ RunTrace run_convergecast(const TestWorld& world, std::uint32_t threads,
         for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += child[i];
       },
       [](const std::vector<Value>&) { return std::uint64_t{128}; });
-  trace.rounds = engine.run(cast, 5000);
+  trace.rounds =
+      net::run_phase(engine, cast, 5000, nullptr, {.open_on_message = false});
   EXPECT_TRUE(cast.complete());
   trace.result = cast.result();
   for (std::size_t c = 0; c < net::kNumTrafficCategories; ++c) {
@@ -154,10 +157,7 @@ TEST(DeterminismTest, LossyLinksPreserveTheSendStream) {
 
 TEST(DeterminismTest, LatencyJitterPreservesTheSendStream) {
   const TestWorld world = TestWorld::make();
-  LatencyModel latency;
-  latency.min_delay = 1;
-  latency.max_delay = 4;
-  latency.seed = 7;
+  const LinkModel latency{.min_delay = 1, .max_delay = 4, .seed = 7};
   const RunTrace serial = run_convergecast(world, 1, nullptr, &latency);
   for (const std::uint32_t k : kShardCounts) {
     expect_identical(serial, run_convergecast(world, k, nullptr, &latency), k);
@@ -169,10 +169,7 @@ TEST(DeterminismTest, LossPlusLatencyPreservesTheSendStream) {
   LinkFaultModel fault;
   fault.loss_probability = 0.15;
   fault.seed = 3;
-  LatencyModel latency;
-  latency.min_delay = 1;
-  latency.max_delay = 3;
-  latency.seed = 21;
+  const LinkModel latency{.min_delay = 1, .max_delay = 3, .seed = 21};
   const RunTrace serial = run_convergecast(world, 1, &fault, &latency);
   for (const std::uint32_t k : kShardCounts) {
     expect_identical(serial, run_convergecast(world, k, &fault, &latency), k);
@@ -214,13 +211,13 @@ TEST(DeterminismTest, FlatPayloadBytesAreBitIdenticalAcrossShardCounts) {
       trace.payloads.emplace_back(bytes.begin(), bytes.end());
     });
 
-    agg::FlatAggregateConvergecast cast(
+    agg::FlatAggregateConvergecastPhase cast(
         world.hierarchy, TrafficCategory::kFiltering, kWidth,
         [&](PeerId p, std::span<Value> out) {
           nf.local_group_aggregates_into(world.workload.local_items(p), out);
         },
         /*flat_bytes=*/0);
-    engine.run(cast, 5000);
+    net::run_phase(engine, cast, 5000, nullptr, {.open_on_message = false});
     EXPECT_TRUE(cast.complete());
     const std::span<const Value> result = cast.result();
     trace.result.assign(result.begin(), result.end());
@@ -568,6 +565,42 @@ TEST(DeterminismTest, ConcurrentSessionsMatchBackToBackRuns) {
                 sharded_stats.sessions[i].traffic.total_bytes());
       EXPECT_EQ(serial_stats.sessions[i].traffic.total_msgs(),
                 sharded_stats.sessions[i].traffic.total_msgs());
+    }
+  }
+}
+
+// serve()'s request and reply engines take their thread count from the
+// config like every other engine: the shared-run path (requests up, one
+// netFilter run, replies down) must be bit-identical at every shard count.
+TEST(DeterminismTest, SharedServeMatchesSerial) {
+  const TestWorld world = TestWorld::make();
+  const std::vector<core::FrequentItemsRequest> requests{
+      {PeerId(3), 0.01}, {PeerId(20), 0.03}, {PeerId(41), 0.005}};
+
+  const auto serve_at = [&](std::uint32_t threads) {
+    core::NetFilterConfig cfg;
+    cfg.num_groups = 40;
+    cfg.num_filters = 2;
+    cfg.threads = threads;
+    TrafficMeter meter(kPeers);
+    Overlay overlay = world.overlay;
+    auto responses = core::QueryService(cfg).serve(
+        requests, world.workload, world.hierarchy, overlay, meter);
+    return std::make_tuple(std::move(responses), meter.total(),
+                           meter.num_messages());
+  };
+
+  const auto [serial, serial_bytes, serial_msgs] = serve_at(1);
+  ASSERT_EQ(serial.size(), requests.size());
+  for (const std::uint32_t k : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << k);
+    const auto [sharded, bytes, msgs] = serve_at(k);
+    EXPECT_EQ(serial_bytes, bytes);
+    EXPECT_EQ(serial_msgs, msgs);
+    ASSERT_EQ(serial.size(), sharded.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].requester, sharded[i].requester);
+      EXPECT_EQ(serial[i].frequent, sharded[i].frequent) << "request " << i;
     }
   }
 }

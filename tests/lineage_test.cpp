@@ -17,6 +17,7 @@
 #include "net/churn.h"
 #include "net/engine.h"
 #include "net/flood.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "obs/context.h"
 #include "obs/export.h"
@@ -52,24 +53,18 @@ struct World {
 std::uint64_t run_convergecast(World& world, obs::Context& ctx,
                                const net::LinkFaultModel* fault = nullptr,
                                std::uint64_t* retransmissions = nullptr) {
-  net::SessionMux mux(&ctx);
-  const net::SessionId sid = mux.add_session();
   agg::ConvergecastPhase<std::uint64_t> phase(
       world.hierarchy, TrafficCategory::kAggregation,
       [](PeerId p) { return std::uint64_t{p.value() + 1}; },
       [](std::uint64_t& acc, std::uint64_t&& child) { acc += child; },
       [](const std::uint64_t&) { return std::uint64_t{16}; }, &ctx);
-  net::PhaseOptions opts;
-  opts.start = net::PhaseStart::kAllPeers;
-  opts.open_on_message = false;
-  opts.name = "agg";
-  (void)mux.add_phase(sid, phase, opts);
 
   TrafficMeter meter(kPeers);
   Engine engine(world.overlay, meter);
   engine.set_obs(&ctx);
   if (fault != nullptr) engine.set_fault_model(*fault);
-  const std::uint64_t rounds = engine.run(mux, 5000);
+  const std::uint64_t rounds = net::run_phase(
+      engine, phase, 5000, &ctx, {.open_on_message = false, .name = "agg"});
   EXPECT_TRUE(phase.complete());
   if (retransmissions != nullptr) *retransmissions = engine.retransmissions();
   return rounds;

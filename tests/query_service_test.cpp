@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/link_model.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -268,6 +269,32 @@ TEST(QueryServiceTest, ConcurrentSurvivesNonMemberChurn) {
     EXPECT_EQ(calm[i].threshold, churned[i].threshold);
     EXPECT_EQ(calm[i].frequent, churned[i].frequent) << "request " << i;
   }
+}
+
+TEST(QueryServiceTest, ConcurrentHonoursTheLinkModel) {
+  // The multiplexed engine takes its link model from the config like every
+  // other engine a NetFilterConfig drives: a narrow uniform link makes the
+  // batch queue (more rounds) while the answers stay exact.
+  const std::vector<ConcurrentRequest> reqs{
+      {PeerId(5), 0.02, 0, 0, 0}, {PeerId(40), 0.05, 0, 0, 0}};
+  const auto rounds_with = [&](const net::LinkModel& link) {
+    Rig rig(12);
+    NetFilterConfig cfg = config();
+    cfg.link = link;
+    ConcurrentQueryStats stats;
+    const auto responses = QueryService(cfg).serve_concurrent(
+        reqs, rig.workload, rig.hierarchy, rig.overlay, rig.meter, &stats);
+    EXPECT_EQ(responses.size(), reqs.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      EXPECT_EQ(responses[i].frequent,
+                rig.workload.frequent_items(responses[i].threshold))
+          << "request " << i;
+    }
+    return stats.rounds_total;
+  };
+  net::LinkModel narrow;
+  narrow.classes = net::LinkClassModel::uniform(400);
+  EXPECT_GT(rounds_with(narrow), rounds_with(net::LinkModel{}));
 }
 
 TEST(QueryServiceTest, ConcurrentRejectsBadInput) {

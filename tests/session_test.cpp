@@ -86,6 +86,20 @@ TEST(SessionMuxTest, RoutesEnvelopesToTheirOwnSession) {
   EXPECT_EQ(b.received(), 222u);
 }
 
+TEST(SessionMuxTest, RunPhaseOpensALonePhaseAtEveryPeer) {
+  // Default options say kOnDemand, which would leave a lone phase closed
+  // forever; run_phase opens it at every peer on the first tick.
+  Overlay overlay = line_overlay();
+  TrafficMeter meter(kPeers);
+  RelayPhase relay(42);
+  Engine engine(overlay, meter);
+  const std::uint64_t rounds = run_phase(engine, relay, 100, nullptr);
+  EXPECT_TRUE(relay.done());
+  EXPECT_EQ(relay.received(), 42u);
+  EXPECT_EQ(meter.total(TrafficCategory::kControl), 7u * 8);
+  EXPECT_LT(rounds, 100u);
+}
+
 TEST(SessionMuxTest, PerSessionTrafficTalliesSplitTheMeter) {
   Overlay overlay = line_overlay();
   TrafficMeter meter(kPeers);

@@ -8,10 +8,11 @@
 // begin_steady_state(), and runs a second (fresh) protocol instance on the
 // same engine — asserting the round loop allocated exactly nothing.
 //
-// Protocol instances are one-shot (SessionMux `opened` gating), so the
-// steady-state run uses a fresh instance B while the *engine* stays warm;
-// B's own arenas fill in on_run_start, which sits before the measured
-// round loop by design.
+// Each run goes through net::run_phase, the path every standalone
+// hierarchy primitive takes. Phase instances are one-shot (SessionMux
+// `opened` gating), so the steady-state run uses a fresh instance B while
+// the *engine* stays warm; B's own arenas fill in on_run_start, which sits
+// before the measured round loop by design.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "common/alloc_hook.h"
 #include "common/rng.h"
 #include "net/engine.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "obs/context.h"
 
@@ -37,9 +39,9 @@ using net::TrafficMeter;
 constexpr std::uint32_t kPeers = 256;
 constexpr std::uint32_t kWidth = 96;  // f*g group sums per message
 
-FlatAggregateConvergecast make_cast(const Hierarchy& hierarchy,
-                                    obs::Context* obs = nullptr) {
-  return FlatAggregateConvergecast(
+FlatAggregateConvergecastPhase make_cast(const Hierarchy& hierarchy,
+                                         obs::Context* obs = nullptr) {
+  return FlatAggregateConvergecastPhase(
       hierarchy, TrafficCategory::kFiltering, kWidth,
       [](PeerId p, std::span<std::uint64_t> out) {
         for (std::uint32_t j = 0; j < kWidth; ++j) {
@@ -47,6 +49,11 @@ FlatAggregateConvergecast make_cast(const Hierarchy& hierarchy,
         }
       },
       /*flat_bytes=*/0, obs);
+}
+
+void run_cast(Engine& engine, FlatAggregateConvergecastPhase& cast,
+              obs::Context* obs = nullptr) {
+  net::run_phase(engine, cast, 100, obs, {.open_on_message = false});
 }
 
 TEST(SteadyAllocTest, HookIsArmedAndCounting) {
@@ -69,13 +76,13 @@ TEST(SteadyAllocTest, WarmedFlatRunAllocatesNothing) {
 
   // Warm-up: one full run grows every slab, outbox and inbox to its
   // high-water mark.
-  FlatAggregateConvergecast warm = make_cast(hierarchy);
-  engine.run(warm, 100);
+  FlatAggregateConvergecastPhase warm = make_cast(hierarchy);
+  run_cast(engine, warm);
   ASSERT_TRUE(warm.complete());
 
   engine.begin_steady_state();
-  FlatAggregateConvergecast steady = make_cast(hierarchy);
-  engine.run(steady, 100);
+  FlatAggregateConvergecastPhase steady = make_cast(hierarchy);
+  run_cast(engine, steady);
   ASSERT_TRUE(steady.complete());
   EXPECT_EQ(engine.steady_allocs(), 0u)
       << "flat hot path allocated on a warmed engine";
@@ -118,11 +125,11 @@ TEST(SteadyAllocTest, SteadyAllocsMirroredIntoObsCounter) {
   obs::Context obs;
   engine.set_obs(&obs);
 
-  FlatAggregateConvergecast warm = make_cast(hierarchy, &obs);
-  engine.run(warm, 100);
+  FlatAggregateConvergecastPhase warm = make_cast(hierarchy, &obs);
+  run_cast(engine, warm, &obs);
   engine.begin_steady_state();
-  FlatAggregateConvergecast steady = make_cast(hierarchy, &obs);
-  engine.run(steady, 100);
+  FlatAggregateConvergecastPhase steady = make_cast(hierarchy, &obs);
+  run_cast(engine, steady, &obs);
   ASSERT_TRUE(steady.complete());
   EXPECT_EQ(obs.registry.counter("engine/steady_allocs").value(),
             engine.steady_allocs());
