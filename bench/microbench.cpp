@@ -149,14 +149,20 @@ void BM_ColumnAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnAdd)->Arg(300)->Arg(3000);
 
+// The slab encoder the Phase-2 forward uses: exact size first, then one
+// raw append written through a plain pointer.
 void BM_DeltaEncodePairs(benchmark::State& state) {
   std::vector<std::pair<ItemId, Value>> pairs;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     pairs.emplace_back(ItemId(hash64(static_cast<std::uint64_t>(i), 1)), 3);
   }
   const auto map = ValueMap<ItemId, Value>::from_unsorted(pairs);
+  net::SlabArena slab;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::encode_pairs(map));
+    slab.reset();
+    net::PayloadWriter w(slab, 0);
+    net::encode_pairs_to(w, map);
+    benchmark::DoNotOptimize(w.finish());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
@@ -177,6 +183,38 @@ void BM_CodecRoundTripPairs(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_CodecRoundTripPairs)->Arg(1000)->Arg(10000);
+
+// The Phase-2 merge kernel: a child's encoded 10^4-pair run decoded straight
+// into a parent accumulator of range(0) entries. Half the run's ids are
+// already in the accumulator, half are new. The accumulator is restored
+// outside the timed region, so every iteration merges the same inputs.
+void BM_MergePairsFrom(benchmark::State& state) {
+  using Map = ValueMap<ItemId, Value>;
+  constexpr std::uint64_t kRun = 10000;
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  Rng rng(13);
+  std::vector<std::pair<ItemId, Value>> pa, pb;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    pa.emplace_back(ItemId(hash64(i, 1)), rng.between(1, 1000));
+  }
+  for (std::uint64_t i = 0; i < kRun; ++i) {
+    pb.emplace_back(ItemId(hash64(i, i % 2 == 0 ? 1 : 2)),
+                    rng.between(1, 1000));
+  }
+  const Map base = Map::from_unsorted(pa);
+  const net::Bytes run = net::encode_pairs(Map::from_unsorted(pb));
+  Map acc;
+  for (auto _ : state) {
+    state.PauseTiming();
+    acc = base;
+    state.ResumeTiming();
+    net::merge_pairs_from(run, acc);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n + kRun));
+}
+BENCHMARK(BM_MergePairsFrom)->Arg(100000)->Arg(1000000);
 
 void BM_WorkloadGenerate(benchmark::State& state) {
   for (auto _ : state) {

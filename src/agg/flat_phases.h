@@ -6,15 +6,20 @@
 // message into the engine's slab arenas with the varint/delta codecs
 // (net/codec.h) and ship a PayloadRef. Receivers decode straight from the
 // delivered span; forwards are span copies. Combined with the
-// structure-of-arrays state below, a warmed loss-free run performs zero
-// heap allocations inside the round loop (tests/steady_alloc_test.cpp).
+// structure-of-arrays state below, a warmed loss-free run of the aggregate
+// convergecast and the multicast performs zero heap allocations inside the
+// round loop (tests/steady_alloc_test.cpp).
 //
 // State layout (DESIGN.md §6f): FlatAggregateConvergecastPhase keeps the
 // per-peer f×g group sums in one contiguous PeerRowArena<u64> — peer-major
 // rows, so a merge is a contiguous column add into the parent's row — and
 // decomposes the per-peer bookkeeping (pending counts, sent flags, causal
 // parents) into dense parallel arenas instead of a per-peer struct with
-// owning members.
+// owning members. FlatPairsConvergecastPhase keeps one sorted ValueMap per
+// open peer and merges each child's encoded run into it on arrival with
+// the fused decode-merge net::merge_pairs_from — no intermediate map, no
+// re-sort. Its merges grow the map, so it is the one phase here outside
+// the zero-alloc guarantee.
 //
 // Wire-size charging: pass `flat_bytes != 0` to charge the paper's flat
 // field model (WireModel::kFlatFields) while still shipping the encoded
@@ -201,9 +206,11 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
 };
 
 /// Bottom-up merge of sorted <item, value> maps (netFilter phase 2), flat
-/// pairs on the wire. Accumulators are ValueMaps — merging sorted runs
-/// allocates, so this phase is outside the zero-alloc guarantee (DESIGN.md
-/// §6f) — but no payload object ever crosses the wire.
+/// pairs on the wire. A child's run is decoded straight into a two-pointer
+/// merge with the parent's ValueMap the moment it arrives; runs are never
+/// held for a later k-way merge. Each merge writes a fresh map buffer, so
+/// this phase is outside the zero-alloc guarantee (DESIGN.md §6f), but no
+/// payload object ever crosses the wire.
 class FlatPairsConvergecastPhase final : public net::FlatPhase {
  public:
   using Pairs = ValueMap<ItemId, Value>;
@@ -290,7 +297,9 @@ class FlatPairsConvergecastPhase final : public net::FlatPhase {
       obs_->tracer.record(obs::EventKind::kMerge, "convergecast.merge",
                           p.value(), sent_bytes_[p]);
     }
-    acc_[p].merge_add(net::decode_pairs(bytes));
+    // Fused decode-merge: the child's run goes straight into this peer's
+    // accumulator, never through an intermediate map.
+    net::merge_pairs_from(bytes, acc_[p]);
     --pending_[p];
     push_parent(p, ctx.cause());
     maybe_forward(ctx);

@@ -92,6 +92,44 @@ class ValueMap {
     entries_ = std::move(merged);
   }
 
+  /// As merge_add(), but the other side is a run of `count` entries that
+  /// `next()` yields one at a time in strictly ascending id order. The
+  /// caller validates that order, typically while decoding the run straight
+  /// off the wire (net::merge_pairs_from), so no intermediate map is built.
+  /// The result is written into a fresh buffer reserved to size() + count,
+  /// exactly as merge_add() does; if `next()` throws, the map is unchanged.
+  template <typename Next>
+  void merge_add_run(std::size_t count, Next next) {
+    std::vector<value_type> merged;
+    merged.reserve(entries_.size() + count);
+    auto a = entries_.cbegin();
+    const auto a_end = entries_.cend();
+    std::size_t taken = 0;
+    if (count != 0) {
+      value_type b = next();
+      while (a != a_end) {
+        if (a->first < b.first) {
+          merged.push_back(*a++);
+          continue;
+        }
+        if (a->first == b.first) {
+          merged.emplace_back(b.first, a->second + b.second);
+          ++a;
+        } else {
+          merged.push_back(b);
+        }
+        if (++taken == count) break;
+        b = next();
+      }
+      if (a == a_end && taken < count) {
+        merged.push_back(b);
+        while (++taken < count) merged.push_back(next());
+      }
+    }
+    merged.insert(merged.end(), a, a_end);
+    entries_ = std::move(merged);
+  }
+
   [[nodiscard]] Value value_of(Id id) const {
     auto it = lower_bound(id);
     return (it != entries_.end() && it->first == id) ? it->second : Value{};

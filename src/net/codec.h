@@ -34,12 +34,10 @@ using Bytes = std::vector<std::uint8_t>;
 void put_varint(Bytes& out, std::uint64_t value);
 
 /// Reads one LEB128 integer at `offset`, advancing it. Throws
-/// ProtocolError on truncated or over-long input.
+/// ProtocolError on truncated or over-long input. (varint_size() and the
+/// raw write_varint() live in net/payload.h, next to the slab writer.)
 [[nodiscard]] std::uint64_t get_varint(std::span<const std::uint8_t> in,
                                        std::size_t& offset);
-
-/// Byte size of the LEB128 encoding of `value`.
-[[nodiscard]] std::size_t varint_size(std::uint64_t value);
 
 /// Sorted id list -> count + delta-coded varints.
 [[nodiscard]] Bytes encode_sorted_ids(std::span<const std::uint64_t> ids);
@@ -47,10 +45,20 @@ void put_varint(Bytes& out, std::uint64_t value);
     std::span<const std::uint8_t> in);
 
 /// <item, value> map -> count + delta-coded ids with interleaved varint
-/// values (ValueMap iterates sorted, so deltas are non-negative).
+/// values (ValueMap iterates sorted, so deltas are non-negative). The
+/// decoder rejects a run whose ids are not strictly ascending — a zero or
+/// wrapping delta after the first pair — with ProtocolError.
 [[nodiscard]] Bytes encode_pairs(const ValueMap<ItemId, std::uint64_t>& map);
 [[nodiscard]] ValueMap<ItemId, std::uint64_t> decode_pairs(
     std::span<const std::uint8_t> in);
+
+/// Phase-2 merge kernel: decodes an encoded pair run (encode_pairs layout)
+/// straight into a two-pointer merge with `acc`, summing values of equal
+/// ids — no intermediate map, no sort (ValueMap::merge_add_run). Throws
+/// ProtocolError, leaving `acc` unchanged, on truncated, over-long,
+/// trailing or not strictly ascending input.
+void merge_pairs_from(std::span<const std::uint8_t> in,
+                      ValueMap<ItemId, std::uint64_t>& acc);
 
 /// Dense aggregate vector -> count + varint per slot (zeros cost 1 byte).
 [[nodiscard]] Bytes encode_aggregates(std::span<const std::uint64_t> values);
@@ -67,7 +75,9 @@ void put_varint(Bytes& out, std::uint64_t value);
 // --- Slab-writer variants (net/payload.h) ---------------------------------
 //
 // Byte-for-byte identical to the Bytes-returning encoders above, but append
-// straight into a slab arena through a PayloadWriter: zero intermediate
+// straight into a slab arena through a PayloadWriter: each computes its
+// exact encoded size with varint_size(), takes that many bytes with one
+// append_raw() and writes them through a plain pointer — zero intermediate
 // allocation on the hot path. tests/codec_test.cpp pins the equivalence.
 
 /// Sorted id list -> count + delta-coded varints, into `w`.

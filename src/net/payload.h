@@ -18,6 +18,7 @@
 // pointer moves).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -43,6 +44,23 @@ struct PayloadRef {
   [[nodiscard]] bool valid() const { return slab != kNoSlab; }
 };
 
+/// Byte size of the LEB128 encoding of `value`, branch-free: the position
+/// of the highest set bit scaled by 9/64 is ceil(bits / 7) for 1..64 bits.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t value) {
+  return (static_cast<std::size_t>(std::bit_width(value | 1)) * 9 + 64) / 64;
+}
+
+/// Writes the LEB128 encoding of `value` at `out` (which must have
+/// varint_size(value) bytes of room) and returns the byte past it.
+inline std::uint8_t* write_varint(std::uint8_t* out, std::uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(value);
+  return out;
+}
+
 /// Append-only byte arena with high-water-mark reset: reset() drops the size
 /// but keeps the capacity, so a warmed slab serves subsequent rounds without
 /// reallocating.
@@ -55,7 +73,14 @@ class SlabArena {
 
   void reserve(std::size_t n) { bytes_.reserve(n); }
 
-  void push(std::uint8_t b) { bytes_.push_back(b); }
+  /// Grows the arena by `n` bytes and returns a pointer to them, for
+  /// encoders that size their output up front and write it through a plain
+  /// pointer. The pointer is valid until the next append.
+  [[nodiscard]] std::uint8_t* append_raw(std::size_t n) {
+    const std::size_t old = bytes_.size();
+    bytes_.resize(old + n);
+    return bytes_.data() + old;
+  }
 
   void append(std::span<const std::uint8_t> span) {
     bytes_.insert(bytes_.end(), span.begin(), span.end());
@@ -83,11 +108,14 @@ class PayloadWriter {
         start_(static_cast<std::uint32_t>(slab.size())) {}
 
   void put_varint(std::uint64_t value) {
-    while (value >= 0x80) {
-      slab_->push(static_cast<std::uint8_t>(value) | 0x80);
-      value >>= 7;
-    }
-    slab_->push(static_cast<std::uint8_t>(value));
+    write_varint(append_raw(varint_size(value)), value);
+  }
+
+  /// Reserves the next `n` payload bytes for the caller to fill (see
+  /// SlabArena::append_raw); net/codec.h's encoders size a whole message
+  /// with varint_size() first, then fill exactly that many bytes.
+  [[nodiscard]] std::uint8_t* append_raw(std::size_t n) {
+    return slab_->append_raw(n);
   }
 
   void put_bytes(std::span<const std::uint8_t> bytes) { slab_->append(bytes); }

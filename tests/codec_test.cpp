@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <iterator>
+#include <limits>
 
 #include "common/hashing.h"
 #include "common/rng.h"
@@ -28,6 +31,32 @@ TEST(VarintTest, SizesMatchEncoding) {
     Bytes out;
     put_varint(out, v);
     EXPECT_EQ(out.size(), varint_size(v)) << v;
+  }
+  // Every width boundary of the branch-free size formula.
+  for (int bits = 1; bits < 64; ++bits) {
+    for (std::uint64_t v : {(std::uint64_t{1} << bits) - 1,
+                            std::uint64_t{1} << bits}) {
+      Bytes out;
+      put_varint(out, v);
+      EXPECT_EQ(out.size(), varint_size(v)) << v;
+    }
+  }
+}
+
+TEST(VarintTest, DecodesAtEveryDistanceFromTheEnd) {
+  // The decoder takes its one-load fast path only with 10 bytes left, so
+  // place each width of varint at every distance from the end of input.
+  for (int bits = 0; bits <= 64; ++bits) {
+    const std::uint64_t v =
+        bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    for (std::size_t pad = 0; pad <= 12; ++pad) {
+      Bytes in;
+      put_varint(in, v);
+      in.insert(in.end(), pad, 0x00);
+      std::size_t offset = 0;
+      EXPECT_EQ(get_varint(in, offset), v) << bits << " pad " << pad;
+      EXPECT_EQ(offset, varint_size(v));
+    }
   }
 }
 
@@ -104,6 +133,153 @@ TEST(PairsTest, RoundTripFuzz) {
               rng.between(1, 1000000));
     }
     EXPECT_EQ(decode_pairs(encode_pairs(map)), map);
+  }
+}
+
+using Map = ValueMap<ItemId, std::uint64_t>;
+
+// A pair run built by hand from (id delta, value) steps, so tests can write
+// runs the encoder never would.
+Bytes pair_run(std::initializer_list<std::pair<std::uint64_t, std::uint64_t>>
+                   steps) {
+  Bytes out;
+  put_varint(out, steps.size());
+  for (const auto& [delta, value] : steps) {
+    put_varint(out, delta);
+    put_varint(out, value);
+  }
+  return out;
+}
+
+TEST(PairsTest, FirstPairMayHaveIdZero) {
+  EXPECT_EQ(decode_pairs(pair_run({{0, 7}, {1, 1}})),
+            Map::from_unsorted({{ItemId(0), 7}, {ItemId(1), 1}}));
+}
+
+TEST(PairsTest, ZeroDeltaAfterFirstPairRejected) {
+  // Ids 5, 5: a repeated id used to be summed quietly into one entry.
+  EXPECT_THROW((void)decode_pairs(pair_run({{5, 1}, {0, 2}})), ProtocolError);
+}
+
+TEST(PairsTest, WrappingDeltaRejected) {
+  // Ids 2^64-1, then +2 wraps to 1: used to be re-sorted into {1, 2^64-1}.
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)decode_pairs(pair_run({{top, 1}, {2, 1}})),
+               ProtocolError);
+  EXPECT_THROW((void)decode_pairs(pair_run({{3, 1}, {top, 1}})),
+               ProtocolError);
+}
+
+TEST(PairsTest, CountBeyondPayloadRejected) {
+  // A count the payload cannot hold fails before anything is reserved.
+  Bytes b;
+  put_varint(b, std::uint64_t{1} << 60);
+  put_varint(b, 1);
+  put_varint(b, 1);
+  EXPECT_THROW((void)decode_pairs(b), ProtocolError);
+}
+
+// --- merge_pairs_from: the fused Phase-2 decode-merge ----------------------
+
+constexpr std::uint64_t kVarintEdges[] = {
+    0,
+    127,
+    128,
+    (std::uint64_t{1} << 56) - 1,
+    std::uint64_t{1} << 56,
+    std::uint64_t{1} << 63,
+    std::numeric_limits<std::uint64_t>::max()};
+
+std::uint64_t edge_or_random(Rng& rng) {
+  if (rng.below(2) == 0) {
+    return kVarintEdges[rng.below(std::size(kVarintEdges))];
+  }
+  return rng() >> rng.below(64);
+}
+
+// A random map of up to `n` entries whose id deltas and values are drawn
+// from the varint edge values as often as from random magnitudes.
+Map random_edge_map(Rng& rng, std::uint64_t n) {
+  std::vector<std::pair<ItemId, std::uint64_t>> pairs;
+  std::uint64_t id = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::uint64_t delta = edge_or_random(rng);
+    if (i > 0) {
+      if (delta == 0) delta = 1;
+      if (delta > std::numeric_limits<std::uint64_t>::max() - id) break;
+    }
+    id += delta;
+    pairs.emplace_back(ItemId(id), edge_or_random(rng));
+  }
+  return Map::from_unsorted(std::move(pairs));
+}
+
+// Merging an encoded run must equal merge_add of the decoded map.
+void expect_merge_matches(const Map& acc, const Map& run) {
+  Map expected = acc;
+  expected.merge_add(run);
+  Map got = acc;
+  merge_pairs_from(encode_pairs(run), got);
+  EXPECT_EQ(got, expected);
+}
+
+TEST(MergePairsFromTest, EmptySides) {
+  Rng rng(21);
+  const Map some = random_edge_map(rng, 20);
+  expect_merge_matches(Map{}, Map{});
+  expect_merge_matches(some, Map{});
+  expect_merge_matches(Map{}, some);
+}
+
+TEST(MergePairsFromTest, MatchesMergeAddOnRandomMaps) {
+  Rng rng(22);
+  for (int iter = 0; iter < 500; ++iter) {
+    const Map acc = random_edge_map(rng, rng.below(60));
+    Map run = random_edge_map(rng, rng.below(60));
+    // Half the time, share ids with the accumulator so ties get summed.
+    if (iter % 2 == 0) {
+      for (const auto& [id, v] : acc) {
+        if (rng.below(2) == 0) run.add(id, v);
+      }
+    }
+    expect_merge_matches(acc, run);
+  }
+}
+
+TEST(MergePairsFromTest, CoversTheFastPathBoundaries) {
+  // The decoder switches to its checked loop within 10 bytes of the end,
+  // so a pair (two varints) straddles it within 20. Hit every encoded
+  // length from 1 to 40 bytes (2 is impossible: a pair takes 2 bytes).
+  Rng rng(23);
+  std::vector<bool> seen(41, false);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const Map run = random_edge_map(rng, rng.below(8));
+    const std::size_t len = encode_pairs(run).size();
+    if (len > 40 || seen[len]) continue;
+    seen[len] = true;
+    expect_merge_matches(random_edge_map(rng, rng.below(8)), run);
+  }
+  for (std::size_t len = 1; len <= 40; ++len) {
+    if (len != 2) EXPECT_TRUE(seen[len]) << len;
+  }
+}
+
+TEST(MergePairsFromTest, TruncationAndTrailingBytesThrow) {
+  Rng rng(24);
+  for (int iter = 0; iter < 100; ++iter) {
+    const Map acc = random_edge_map(rng, rng.below(10));
+    const Bytes full = encode_pairs(random_edge_map(rng, rng.below(10)));
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+      const std::span<const std::uint8_t> prefix(full.data(), cut);
+      Map got = acc;
+      EXPECT_THROW(merge_pairs_from(prefix, got), ProtocolError) << cut;
+      EXPECT_EQ(got, acc);  // a failed merge leaves the accumulator alone
+    }
+    Bytes trailing = full;
+    trailing.push_back(0x00);
+    Map got = acc;
+    EXPECT_THROW(merge_pairs_from(trailing, got), ProtocolError);
+    EXPECT_EQ(got, acc);
   }
 }
 
@@ -187,6 +363,20 @@ TEST(SlabWriterTest, PairsMatchLegacyEncoderBytes) {
       map.add(ItemId(hash64(i, static_cast<std::uint64_t>(iter))),
               rng() >> rng.below(64));
     }
+    PayloadWriter w(slab, 0);
+    encode_pairs_to(w, map);
+    const PayloadRef ref = w.finish();
+    EXPECT_EQ(slab_bytes(slab, ref), encode_pairs(map)) << iter;
+  }
+}
+
+TEST(SlabWriterTest, PairsWithVarintEdgesMatchLegacyEncoderBytes) {
+  // The slab writer sizes each message before writing it; the varint edge
+  // values sit on both sides of every width change of that size.
+  Rng rng(6);
+  SlabArena slab;
+  for (int iter = 0; iter < 200; ++iter) {
+    const Map map = random_edge_map(rng, rng.below(30));
     PayloadWriter w(slab, 0);
     encode_pairs_to(w, map);
     const PayloadRef ref = w.finish();
