@@ -1,7 +1,8 @@
-// Flat slab-backed counterparts of the generic hierarchy protocols
-// (convergecast / multicast) — the million-peer hot path.
+// Flat slab-backed hierarchy phases — the million-peer hot path: the f×g
+// aggregate convergecast, the pair-list convergecast and the multicast
+// (the library's only multicast).
 //
-// Where the typed phases (agg/convergecast.h, agg/multicast.h) ship owning
+// Where the typed ConvergecastPhase<T> (agg/convergecast.h) ships owning
 // C++ objects through `std::any` envelopes, these phases encode every
 // message into the engine's slab arenas with the varint/delta codecs
 // (net/codec.h) and ship a PayloadRef. Receivers decode straight from the
@@ -358,7 +359,10 @@ class FlatPairsConvergecastPhase final : public net::FlatPhase {
 /// Top-down dissemination of one pre-encoded payload (paper Algorithm 2,
 /// line 1). The root installs encoded bytes once; every forward is a span
 /// copy into the shard slab — the payload object is never reconstructed in
-/// flight. Receivers get the raw span and decode as they see fit.
+/// flight. Receivers get the raw span and decode as they see fit. Each
+/// hierarchy edge carries one copy, charged the modelled `wire_bytes` (not
+/// the encoded length): netFilter's heavy-group dissemination, the
+/// partitioned slice multicast and the query announcement all ride it.
 class FlatMulticastPhase final : public net::FlatPhase {
  public:
   /// Runs at every member (including the root) exactly once, when the

@@ -13,8 +13,9 @@
 //   with high probability).
 //
 //   Dissemination. The surviving heavy-group bitmap is flooded over the
-//   overlay (net::FloodPhase) so every peer materializes its partial
-//   candidate set against the SAME bitmap.
+//   overlay (net::FlatFloodPhase, shipping the encode_heavy_groups bytes
+//   each peer decodes) so every peer materializes its partial candidate
+//   set against the SAME bitmap.
 //
 //   Phase 2 (candidate verification). A second push-sum runs over the
 //   sparse candidate maps — push-sum is linear, so <id, value> maps gossip

@@ -1,12 +1,14 @@
 #include "core/partitioned.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "agg/convergecast.h"
-#include "agg/multicast.h"
+#include "agg/flat_phases.h"
 #include "common/arena.h"
 #include "common/error.h"
+#include "net/codec.h"
 #include "net/session.h"
 
 namespace nf::core {
@@ -98,10 +100,12 @@ PartitionedResult PartitionedNetFilter::run(
       slice_heavy += static_cast<std::uint64_t>(std::count(
           heavy[fi].begin(), heavy[fi].end(), true));
     }
-    agg::MulticastPhase<std::uint32_t> mc(
+    agg::FlatMulticastPhase mc(
         hierarchies.at(s), net::TrafficCategory::kDissemination,
-        [](net::PhaseContext&, const std::uint32_t&) {});
-    mc.set_payload(s, slice_heavy * config_.wire.group_id_bytes);
+        [](net::PhaseContext&, std::span<const std::uint8_t>) {});
+    net::Bytes slice;  // the slice index; peers need nothing more here
+    net::put_varint(slice, s);
+    mc.set_payload(slice, slice_heavy * config_.wire.group_id_bytes);
     net::Engine engine(overlay, meter);
     configure_engine(engine, config_);
     result.stats.rounds += net::run_phase(

@@ -6,7 +6,9 @@
 // serve() — the paper's sharing optimisation: all requests are forwarded to
 // the root, netFilter runs ONCE with the minimum requested threshold, and
 // each requester receives the superset filtered at its own threshold.
-// Forwarding and reply traffic is charged so the sharing win is measurable.
+// Requests and replies travel as agg::RequestPhase / agg::ReplyPhase
+// sessions (agg/unicast.h), one per request, charged per hop so the sharing
+// win is measurable.
 //
 // serve_concurrent() — independent queries that cannot share a run (they
 // may use distinct thresholds AND distinct filter banks) multiplex as N
@@ -88,7 +90,7 @@ class QueryService {
   /// Serves all requests with one shared netFilter run. The request with
   /// the smallest theta defines the run threshold; every response is exact
   /// for its own theta because filtering a superset of frequent items by a
-  /// larger threshold loses nothing.
+  /// larger threshold loses nothing. Responses come back in request order.
   [[nodiscard]] std::vector<FrequentItemsResponse> serve(
       const std::vector<FrequentItemsRequest>& requests,
       const ItemSource& items, const agg::Hierarchy& hierarchy,

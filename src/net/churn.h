@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/rng.h"
 
 namespace nf::net {
 
@@ -47,23 +46,6 @@ class ChurnSchedule {
     return events_;
   }
   [[nodiscard]] bool empty() const { return events_.empty(); }
-
-  /// Random schedule: every round in [first_round, last_round], each alive
-  /// non-root peer fails independently with probability `fail_prob`.
-  static ChurnSchedule random_failures(std::uint64_t first_round,
-                                       std::uint64_t last_round,
-                                       std::uint32_t num_peers,
-                                       double fail_prob, PeerId protect,
-                                       Rng& rng) {
-    ChurnSchedule s;
-    for (std::uint64_t r = first_round; r <= last_round; ++r) {
-      for (std::uint32_t p = 0; p < num_peers; ++p) {
-        if (PeerId(p) == protect) continue;
-        if (rng.chance(fail_prob)) s.fail_at(r, PeerId(p));
-      }
-    }
-    return s;
-  }
 
  private:
   std::vector<ChurnEvent> events_;

@@ -269,21 +269,4 @@ void add_aggregates_from(std::span<const std::uint8_t> in,
   ensure(offset == in.size(), "trailing bytes after aggregate vector");
 }
 
-std::vector<std::uint64_t> decode_aggregates_fixed32(
-    std::span<const std::uint8_t> in) {
-  std::size_t offset = 0;
-  const std::uint64_t count = get_varint(in, offset);
-  ensure(in.size() - offset == count * 4, "fixed32 length mismatch");
-  std::vector<std::uint64_t> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(in[offset++]) << shift;
-    }
-    out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace nf::net

@@ -65,12 +65,11 @@ void merge_pairs_from(std::span<const std::uint8_t> in,
 [[nodiscard]] std::vector<std::uint64_t> decode_aggregates(
     std::span<const std::uint8_t> in);
 
-/// Fixed-width reference encoding (the paper's model): 4 bytes per slot,
-/// values clamped at 2^32-1.
+/// Fixed-width reference encoding (the paper's model): count varint, then
+/// 4 little-endian bytes per slot, values clamped at 2^32-1. Only its size
+/// is ever measured (bench/ablation_encoding), so it has no decoder.
 [[nodiscard]] Bytes encode_aggregates_fixed32(
     std::span<const std::uint64_t> values);
-[[nodiscard]] std::vector<std::uint64_t> decode_aggregates_fixed32(
-    std::span<const std::uint8_t> in);
 
 // --- Slab-writer variants (net/payload.h) ---------------------------------
 //

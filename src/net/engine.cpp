@@ -45,7 +45,6 @@ void Context::push_send(PeerId to, TrafficCategory category,
   KeyedSend ks{major_,
                next_minor_++,
                /*is_ack=*/0,
-               protocol_index_,
                /*ack_msg_id=*/0,
                Envelope{self_, to, category, bytes, std::move(payload), flat,
                         session, phase}};
@@ -268,8 +267,7 @@ void Engine::ack_received(PeerId original_sender, std::uint64_t msg_id) {
   // Unmatched ACK: a duplicate for a message already acknowledged.
 }
 
-void Engine::predispatch(std::span<Protocol* const> protocols,
-                         std::vector<Outgoing>& inbox, const ShardPlan& plan) {
+void Engine::predispatch(std::vector<Outgoing>& inbox, const ShardPlan& plan) {
   engine_sends_.clear();
   for (auto& sc : shards_) {
     sc.inq.clear();
@@ -300,8 +298,7 @@ void Engine::predispatch(std::span<Protocol* const> protocols,
       // lossy; it finalizes at this round's barrier with key (i, 0), ahead
       // of anything the handler of message i sends.
       engine_sends_.push_back(Context::KeyedSend{
-          static_cast<std::uint64_t>(i), 0, /*is_ack=*/1, out.protocol_index,
-          out.msg_id,
+          static_cast<std::uint64_t>(i), 0, /*is_ack=*/1, out.msg_id,
           Envelope{out.envelope.to, out.envelope.from,
                    TrafficCategory::kControl, fault_.ack_bytes, {}}});
       // Exactly-once delivery: retransmitted duplicates stop here.
@@ -313,7 +310,6 @@ void Engine::predispatch(std::span<Protocol* const> protocols,
       }
       seen.insert(it, out.msg_id);
     }
-    ensure(out.protocol_index < protocols.size(), "bad protocol index");
     // The message will reach its handler this round: mark the delivery in
     // the lineage DAG. Dead-destination drops, link losses and suppressed
     // duplicates return above, so their nodes stay undelivered and never
@@ -326,9 +322,8 @@ void Engine::predispatch(std::span<Protocol* const> protocols,
   }
 }
 
-void Engine::run_shard(std::span<Protocol* const> protocols,
-                       std::uint32_t shard, const ShardPlan& plan,
-                       std::uint64_t tick_base) {
+void Engine::run_shard(Protocol& protocol, std::uint32_t shard,
+                       const ShardPlan& plan, std::uint64_t tick_base) {
   // Busy wall time is written only to this shard's own slot, so workers
   // never race; the engine thread folds the slots into gauges after the
   // dispatch barrier.
@@ -337,24 +332,18 @@ void Engine::run_shard(std::span<Protocol* const> protocols,
   ShardScratch& sc = shards_[shard];
   for (Delivery& d : sc.inq) {
     if (obs_ != nullptr) obs_delivered_->add(1);
-    Context ctx(*this, d.out.envelope.to, d.out.protocol_index, &sc.outbox,
-                &shard_slabs_[shard], shard,
-                /*major=*/d.index, /*first_minor=*/1,
+    Context ctx(*this, d.out.envelope.to, &sc.outbox, &shard_slabs_[shard],
+                shard, /*major=*/d.index, /*first_minor=*/1,
                 /*cause=*/d.out.envelope.lineage);
-    protocols[d.out.protocol_index]->on_message(ctx,
-                                                std::move(d.out.envelope));
+    protocol.on_message(ctx, std::move(d.out.envelope));
   }
-  const std::uint64_t num_peers = overlay_.num_peers();
-  for (std::size_t pi = 0; pi < protocols.size(); ++pi) {
-    for (std::uint32_t peer = plan.begin(shard); peer < plan.end(shard);
-         ++peer) {
-      if (!overlay_.is_alive(PeerId(peer))) continue;
-      Context ctx(*this, PeerId(peer), pi, &sc.outbox, &shard_slabs_[shard],
-                  shard,
-                  /*major=*/tick_base + pi * num_peers + peer,
-                  /*first_minor=*/0, /*cause=*/obs::kNoLineage);
-      protocols[pi]->on_round(ctx);
-    }
+  for (std::uint32_t peer = plan.begin(shard); peer < plan.end(shard);
+       ++peer) {
+    if (!overlay_.is_alive(PeerId(peer))) continue;
+    Context ctx(*this, PeerId(peer), &sc.outbox, &shard_slabs_[shard], shard,
+                /*major=*/tick_base + peer, /*first_minor=*/0,
+                /*cause=*/obs::kNoLineage);
+    protocol.on_round(ctx);
   }
   if (obs_ != nullptr) shard_busy_us_[shard] += obs::elapsed_us(t0);
 }
@@ -547,8 +536,8 @@ void Engine::merge_and_finalize() {
       ks.envelope.lineage = id;
       for (const obs::LineageId p : ks.extra_parents) lineage_->link(id, p);
     }
-    Outgoing out{ks.protocol_index, std::move(ks.envelope),
-                 /*msg_id=*/0, ks.is_ack != 0, /*lost=*/false};
+    Outgoing out{std::move(ks.envelope), /*msg_id=*/0, ks.is_ack != 0,
+                 /*lost=*/false};
     // The producing shard's slab holds the payload until this barrier;
     // admit() copies the span into the delivery slot's slab.
     const std::span<const std::uint8_t> flat_bytes = resolve(out.envelope.flat);
@@ -613,14 +602,6 @@ void Engine::scan_retransmissions() {
 
 std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
                           const ChurnSchedule* schedule) {
-  Protocol* p = &protocol;
-  return run(std::span<Protocol* const>(&p, 1), max_rounds, schedule);
-}
-
-std::uint64_t Engine::run(std::span<Protocol* const> protocols,
-                          std::uint64_t max_rounds,
-                          const ChurnSchedule* schedule) {
-  require(!protocols.empty(), "need at least one protocol");
   const std::uint64_t start_round = round_;
   const ShardPlan plan(overlay_.num_peers(), threads_);
   shards_.resize(plan.num_shards());
@@ -629,8 +610,8 @@ std::uint64_t Engine::run(std::span<Protocol* const> protocols,
   // can heap-allocate, which the steady-state gate would count.
   std::function<void(std::uint32_t)> shard_task;
   if (pool_ != nullptr && plan.num_shards() > 1) {
-    shard_task = [this, protocols, &plan](std::uint32_t k) {
-      run_shard(protocols, k, plan, tick_base_);
+    shard_task = [this, &protocol, &plan](std::uint32_t k) {
+      run_shard(protocol, k, plan, tick_base_);
     };
   }
   if (obs_ != nullptr) {
@@ -659,7 +640,7 @@ std::uint64_t Engine::run(std::span<Protocol* const> protocols,
     // rounds start at 1) and the first node id this run will admit.
     lineage_->mark_run_start(obs_->tracer.clock());
   }
-  for (Protocol* p : protocols) p->on_run_start(overlay_);
+  protocol.on_run_start(overlay_);
   for (std::uint64_t executed = 0; executed < max_rounds; ++executed) {
     const std::uint64_t allocs_at_round_start = alloc_hook::count();
     // 0. Stamp the round boundary: advance the tracer's logical clock so
@@ -688,7 +669,7 @@ std::uint64_t Engine::run(std::span<Protocol* const> protocols,
     }
 
     // 2. Whole-round protocol bookkeeping, engine thread.
-    for (Protocol* p : protocols) p->on_round_begin(round_);
+    protocol.on_round_begin(round_);
 
     // 3. Predispatch this round's arrivals: drops, loss, ACK accounting and
     // duplicate suppression happen here on the engine thread; survivors are
@@ -700,7 +681,7 @@ std::uint64_t Engine::run(std::span<Protocol* const> protocols,
     std::swap(inbox_scratch_, bucket_at(round_));
     in_transit_ -= inbox_scratch_.size();
     tick_base_ = static_cast<std::uint64_t>(inbox_scratch_.size());
-    predispatch(protocols, inbox_scratch_, plan);
+    predispatch(inbox_scratch_, plan);
 
     // 4. Parallel phase: deliver + tick each shard's peers.
     obs::WallTime par_start;
@@ -712,7 +693,7 @@ std::uint64_t Engine::run(std::span<Protocol* const> protocols,
       pool_->dispatch(plan.num_shards(), shard_task);
     } else {
       for (std::uint32_t k = 0; k < plan.num_shards(); ++k) {
-        run_shard(protocols, k, plan, tick_base_);
+        run_shard(protocol, k, plan, tick_base_);
       }
     }
     if (obs_ != nullptr) {
@@ -786,12 +767,9 @@ std::uint64_t Engine::run(std::span<Protocol* const> protocols,
 
     // 7. Quiescence check. Under the fault model, unacknowledged messages
     // keep the engine alive until they are delivered or given up on.
-    const bool any_active =
-        std::any_of(protocols.begin(), protocols.end(),
-                    [](const Protocol* p) { return p->active(); });
-    if (in_transit_ == 0 && !any_active && pending_count_ == 0) break;
+    if (in_transit_ == 0 && !protocol.active() && pending_count_ == 0) break;
   }
-  for (Protocol* p : protocols) p->on_run_end();
+  protocol.on_run_end();
   return round_ - start_round;
 }
 

@@ -5,9 +5,9 @@
 // delivered at the start of round r+1 (or later under the link model) if
 // its destination is then alive. Protocols are state machines over peers:
 // the engine calls `on_round(ctx)` once per alive peer per round and
-// `on_message(ctx, env)` for each delivered envelope. Several protocols can
-// run concurrently (e.g. heartbeats alongside an aggregation); envelopes
-// are routed back to the protocol that sent them.
+// `on_message(ctx, env)` for each delivered envelope. A run drives one
+// protocol; concurrent work (several sessions, several phases) shares a run
+// through net::SessionMux, which routes envelopes by their session tags.
 //
 // Execution model (serial and sharded runs share one code path):
 //   1. churn + round bookkeeping              (engine thread)
@@ -157,7 +157,6 @@ class Context {
     std::uint64_t major;
     std::uint32_t minor;
     std::uint32_t is_ack;      // engine-generated ACK (predispatch only)
-    std::size_t protocol_index;
     std::uint64_t ack_msg_id;  // msg id being acknowledged (ACKs only)
     Envelope envelope;
     /// Primary causal parent; the envelope's own lineage id is assigned at
@@ -167,13 +166,12 @@ class Context {
     std::vector<obs::LineageId> extra_parents;
   };
 
-  Context(Engine& engine, PeerId self, std::size_t protocol_index,
-          std::vector<KeyedSend>* outbox, SlabArena* slab,
+  Context(Engine& engine, PeerId self, std::vector<KeyedSend>* outbox,
+          SlabArena* slab,
           std::uint32_t slab_id, std::uint64_t major, std::uint32_t first_minor,
           obs::LineageId cause)
       : engine_(engine),
         self_(self),
-        protocol_index_(protocol_index),
         outbox_(outbox),
         slab_(slab),
         slab_id_(slab_id),
@@ -189,7 +187,6 @@ class Context {
 
   Engine& engine_;
   PeerId self_;
-  std::size_t protocol_index_;
   std::vector<KeyedSend>* outbox_;
   SlabArena* slab_;
   std::uint32_t slab_id_;
@@ -232,7 +229,7 @@ class Protocol {
   /// in the very last round).
   NF_ENGINE_THREAD virtual void on_run_end() {}
 
-  /// Engine stops when no messages are in flight and no protocol is active.
+  /// Engine stops when no messages are in flight and the protocol is idle.
   /// Polled on the engine thread, but implementations must be pure reads.
   NF_REENTRANT [[nodiscard]] virtual bool active() const { return false; }
 };
@@ -241,15 +238,10 @@ class Engine {
  public:
   Engine(Overlay& overlay, TrafficMeter& meter);
 
-  /// Runs `protocols` until quiescence (no messages in flight, no protocol
+  /// Runs `protocol` until quiescence (no messages in flight, protocol not
   /// active) or `max_rounds`, whichever first. Returns rounds executed.
   /// Churn events in `schedule` whose round falls inside the run are applied
   /// at the start of the matching round.
-  NF_ENGINE_THREAD std::uint64_t run(std::span<Protocol* const> protocols,
-                                     std::uint64_t max_rounds,
-                                     const ChurnSchedule* schedule = nullptr);
-
-  /// Convenience overload for a single protocol.
   NF_ENGINE_THREAD std::uint64_t run(Protocol& protocol,
                                      std::uint64_t max_rounds,
                                      const ChurnSchedule* schedule = nullptr);
@@ -354,7 +346,6 @@ class Engine {
   /// A transmission admitted to the network, waiting for its delivery
   /// round.
   struct Outgoing {
-    std::size_t protocol_index;
     Envelope envelope;
     std::uint64_t msg_id = 0;  // reliability id; 0 = unreliable or unset
     bool is_ack = false;
@@ -383,11 +374,10 @@ class Engine {
     std::vector<Context::KeyedSend> outbox;
   };
 
-  NF_ENGINE_THREAD void predispatch(std::span<Protocol* const> protocols,
-                                    std::vector<Outgoing>& inbox,
+  NF_ENGINE_THREAD void predispatch(std::vector<Outgoing>& inbox,
                                     const ShardPlan& plan);
-  NF_SHARD_CONTEXT void run_shard(std::span<Protocol* const> protocols,
-                                  std::uint32_t shard, const ShardPlan& plan,
+  NF_SHARD_CONTEXT void run_shard(Protocol& protocol, std::uint32_t shard,
+                                  const ShardPlan& plan,
                                   std::uint64_t tick_base);
   NF_ENGINE_THREAD NF_STEADY_NOALLOC void merge_and_finalize();
   /// `flat_bytes` is the payload span to copy into the destination ring

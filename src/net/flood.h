@@ -6,13 +6,14 @@
 // sees to all neighbors except the one it came from, up to a TTL.
 // Duplicate suppression is by a per-peer seen flag, so each peer processes
 // the payload exactly once while each overlay edge carries it at most
-// twice (once per direction, worst case).
+// twice (once per direction, worst case). Every copy is charged the same
+// modelled `wire_bytes`, whatever the encoded length.
 //
-// FloodPhase is a session-runtime component (net/session.h): the flood can
-// ride one phase of a multiplexed session (e.g. a query announcement) while
-// other sessions run concurrently, or run on its own through run_phase
-// (receipt opens the phase: the default open_on_message), after which
-// num_reached(), num_copies() and reached() report the coverage.
+// FlatFloodPhase is a session-runtime component (net/session.h): the flood
+// can ride one phase of a multiplexed session while other sessions run
+// concurrently, or run on its own through run_phase (receipt opens the
+// phase: the default open_on_message), after which num_reached(),
+// num_copies() and reached() report the coverage.
 #pragma once
 
 #include <atomic>
@@ -31,110 +32,20 @@
 
 namespace nf::net {
 
-/// Shard-safe: the seen flags are a byte arena written only by the owning
-/// peer's callbacks; the reach/copy tallies are commutative atomics. Wire
-/// messages carry (remaining ttl, payload) and are typed — a payload type
-/// error fails at compile time. Legacy object-payload path; prefer
-/// FlatFloodPhase on hot paths.
-template <typename T>
-class FloodPhase final  // nf-lint: nf-flat-payload-ok
-    : public TypedPhase<std::pair<std::uint32_t, T>> {
- public:
-  using ReceiveFn = std::function<void(PhaseContext&, const T&)>;
-
-  /// `ttl` bounds propagation depth (hops from the originator); use a value
-  /// at least the overlay diameter for full coverage.
-  FloodPhase(PeerId originator, T payload, std::uint64_t wire_bytes,
-             TrafficCategory category, std::uint32_t ttl,
-             ReceiveFn on_receive)
-      : originator_(originator),
-        payload_(std::move(payload)),
-        wire_bytes_(wire_bytes),
-        category_(category),
-        ttl_(ttl),
-        on_receive_(std::move(on_receive)) {
-    require(ttl >= 1, "flood needs ttl >= 1");
-  }
-
-  void on_run_start(const Overlay& overlay) override {
-    if (seen_.empty()) seen_.assign(overlay.num_peers(), false);
-  }
-
-  void on_start(PhaseContext& ctx) override {
-    const PeerId self = ctx.self();
-    if (self != originator_ || seen_[self.value()]) return;
-    seen_[self.value()] = true;
-    num_reached_.fetch_add(1, std::memory_order_relaxed);
-    on_receive_(ctx, payload_);
-    forward(ctx, ttl_, self);
-  }
-
-  [[nodiscard]] bool done() const override {
-    // Flood has no natural completion signal a peer could observe; once the
-    // originator has fired, the engine drains in-flight copies and stops.
-    return num_reached() > 0;
-  }
-
-  /// Peers that have processed the payload.
-  [[nodiscard]] std::uint32_t num_reached() const {
-    return num_reached_.load(std::memory_order_relaxed);
-  }
-
-  /// Total copies received, including suppressed duplicates.
-  [[nodiscard]] std::uint64_t num_copies() const {
-    return num_copies_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool reached(PeerId p) const {
-    return p.value() < seen_.size() && seen_[p.value()];
-  }
-
- protected:
-  void on_payload(PhaseContext& ctx, std::pair<std::uint32_t, T>&& msg,
-                  PeerId from) override {
-    const PeerId self = ctx.self();
-    num_copies_.fetch_add(1, std::memory_order_relaxed);
-    if (seen_[self.value()]) return;  // duplicate
-    seen_[self.value()] = true;
-    num_reached_.fetch_add(1, std::memory_order_relaxed);
-    on_receive_(ctx, msg.second);
-    if (msg.first > 0) forward(ctx, msg.first, from);
-  }
-
- private:
-  void forward(PhaseContext& ctx, std::uint32_t ttl, PeerId except) {
-    // Every forwarded copy descends from the copy that reached this peer;
-    // at the originator the cause is empty (round-originated flood).
-    const obs::LineageId parent = ctx.cause();
-    for (PeerId q : ctx.neighbors()) {
-      if (q == except) continue;
-      this->send(ctx, q, category_, wire_bytes_,
-                 std::pair<std::uint32_t, T>(ttl - 1, payload_),
-                 std::span<const obs::LineageId>(&parent, 1));
-    }
-  }
-
-  PeerId originator_;
-  T payload_;
-  std::uint64_t wire_bytes_;
-  TrafficCategory category_;
-  std::uint32_t ttl_;
-  ReceiveFn on_receive_;
-  PeerArena<bool> seen_;
-  std::atomic<std::uint32_t> num_reached_{0};
-  std::atomic<std::uint64_t> num_copies_{0};
-};
-
 /// Flat slab-backed flood: the wire format is varint(remaining ttl)
 /// followed by the opaque payload bytes. The originator installs the
 /// encoded payload once; every forward is a varint prepend plus a span copy
 /// into the shard slab — no payload object is ever reconstructed in flight.
+/// Shard-safe: the seen flags are a byte arena written only by the owning
+/// peer's callbacks; the reach/copy tallies are commutative atomics.
 class FlatFloodPhase final : public FlatPhase {
  public:
   /// Receives the payload body (ttl stripped); valid for the callback only.
   using ReceiveFn =
       std::function<void(PhaseContext&, std::span<const std::uint8_t>)>;
 
+  /// `ttl` bounds propagation depth (hops from the originator); use a value
+  /// at least the overlay diameter for full coverage.
   FlatFloodPhase(PeerId originator, Bytes payload, std::uint64_t wire_bytes,
                  TrafficCategory category, std::uint32_t ttl,
                  ReceiveFn on_receive)
@@ -168,9 +79,11 @@ class FlatFloodPhase final : public FlatPhase {
     return num_reached() > 0;
   }
 
+  /// Peers that have processed the payload.
   [[nodiscard]] std::uint32_t num_reached() const {
     return num_reached_.load(std::memory_order_relaxed);
   }
+  /// Total copies received, including suppressed duplicates.
   [[nodiscard]] std::uint64_t num_copies() const {
     return num_copies_.load(std::memory_order_relaxed);
   }

@@ -1,4 +1,5 @@
-// Seeded mutation test for the flat decoders (net/codec.h).
+// Seeded mutation test for the flat decoders (net/codec.h, plus the
+// heavy-group set codec in core/netfilter.h).
 //
 // Every decoder that reads bytes off the wire gets a corpus of valid
 // encodings, which are then corrupted with bit flips, truncations, spliced
@@ -18,6 +19,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "core/netfilter.h"
 
 namespace nf::net {
 namespace {
@@ -175,6 +177,58 @@ TEST(CodecMutationTest, AddAggregatesFrom) {
   const int decoded = fuzz(4, corpus, [](auto in) {
     std::vector<std::uint64_t> acc(kWidth, 0);
     add_aggregates_from(in, acc);
+  });
+  EXPECT_GT(decoded, kMutationsPerDecoder / 20);
+}
+
+TEST(CodecMutationTest, DecodeAggregates) {
+  Rng rng(105);
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<std::uint64_t> row(rng.below(40));
+    for (auto& v : row) {
+      v = rng.below(4) == 0 ? random_magnitude(rng) : rng.below(128);
+    }
+    corpus.push_back(encode_aggregates(row));
+  }
+  const int decoded = fuzz(5, corpus, [](auto in) {
+    const std::vector<std::uint64_t> row = decode_aggregates(in);
+    // The accumulating decoder accepts the same input with the same sums.
+    std::vector<std::uint64_t> acc(row.size(), 0);
+    add_aggregates_from(in, acc);
+    EXPECT_EQ(acc, row);
+  });
+  EXPECT_GT(decoded, kMutationsPerDecoder / 20);
+}
+
+TEST(CodecMutationTest, DecodeHeavyGroups) {
+  // Heavy-group sets as the dissemination multicast and the gossip flood
+  // ship them: f bitmaps of g groups, delta-coded as filter-major ids.
+  constexpr std::uint32_t kFilters = 3;
+  constexpr std::uint32_t kGroups = 40;
+  Rng rng(106);
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < 40; ++i) {
+    core::HeavyGroupSet set;
+    set.heavy.assign(kFilters, std::vector<bool>(kGroups, false));
+    const std::uint64_t density = 1 + rng.below(8);
+    for (auto& bitmap : set.heavy) {
+      for (std::uint32_t j = 0; j < kGroups; ++j) {
+        bitmap[j] = rng.below(density) == 0;
+      }
+    }
+    corpus.push_back(core::encode_heavy_groups(set));
+  }
+  const int decoded = fuzz(6, corpus, [&](auto in) {
+    const core::HeavyGroupSet set =
+        core::decode_heavy_groups(in, kFilters, kGroups);
+    ASSERT_EQ(set.heavy.size(), kFilters);
+    for (const auto& bitmap : set.heavy) ASSERT_EQ(bitmap.size(), kGroups);
+    // Whatever decodes is a well-formed set: re-encoding reproduces it.
+    EXPECT_EQ(core::decode_heavy_groups(core::encode_heavy_groups(set),
+                                        kFilters, kGroups)
+                  .heavy,
+              set.heavy);
   });
   EXPECT_GT(decoded, kMutationsPerDecoder / 20);
 }

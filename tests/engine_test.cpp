@@ -134,36 +134,6 @@ TEST(EngineTest, RespectsMaxRounds) {
   EXPECT_EQ(forever.ticks, 7);
 }
 
-TEST(EngineTest, RoutesMessagesToOwningProtocol) {
-  /// Each protocol pings its own id; cross-delivery would corrupt counts.
-  class Ping final : public Protocol {
-   public:
-    explicit Ping(int id) : id_(id) {}
-    void on_round(Context& ctx) override {
-      if (ctx.self() == PeerId(0) && !sent_) {
-        sent_ = true;
-        ctx.send(PeerId(1), TrafficCategory::kControl, 1, std::any(id_));
-      }
-    }
-    void on_message(Context&, Envelope&& env) override {
-      got_ = std::any_cast<int>(env.payload);
-    }
-    [[nodiscard]] bool active() const override { return got_ == 0 && sent_; }
-    int id_;
-    bool sent_ = false;
-    int got_ = 0;
-  };
-  Overlay overlay = make_line(2);
-  TrafficMeter meter(2);
-  Engine engine(overlay, meter);
-  Ping a(1);
-  Ping b(2);
-  std::vector<Protocol*> protos{&a, &b};
-  engine.run(protos, 10);
-  EXPECT_EQ(a.got_, 1);
-  EXPECT_EQ(b.got_, 2);
-}
-
 TEST(EngineTest, RoundCounterAdvancesAcrossRuns) {
   Overlay overlay = make_line(2);
   TrafficMeter meter(2);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
 #include "net/session.h"
@@ -9,6 +10,11 @@
 
 namespace nf::net {
 namespace {
+
+using Span = std::span<const std::uint8_t>;
+
+// A one-byte payload; most cases only count reach and bytes.
+const Bytes kByte{1};
 
 Overlay make_overlay(std::uint32_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -19,12 +25,15 @@ TEST(FloodTest, ReachesEveryAlivePeerExactlyOnce) {
   Overlay overlay = make_overlay(100, 1);
   TrafficMeter meter(100);
   std::vector<int> deliveries(100, 0);
-  FloodPhase<std::string> flood(PeerId(7), "hello", 8,
-                                TrafficCategory::kDissemination, 64,
-                                [&](PhaseContext& ctx, const std::string& s) {
-                                  EXPECT_EQ(s, "hello");
-                                  ++deliveries[ctx.self().value()];
-                                });
+  const std::string payload = "hello";
+  FlatFloodPhase flood(PeerId(7), Bytes(payload.begin(), payload.end()), 8,
+                       TrafficCategory::kDissemination, 64,
+                       [&](PhaseContext& ctx, Span bytes) {
+                         // The ttl framing is stripped before delivery.
+                         EXPECT_EQ(std::string(bytes.begin(), bytes.end()),
+                                   payload);
+                         ++deliveries[ctx.self().value()];
+                       });
   Engine engine(overlay, meter);
   run_phase(engine, flood, 200, nullptr);
   EXPECT_EQ(flood.num_reached(), 100u);
@@ -34,8 +43,8 @@ TEST(FloodTest, ReachesEveryAlivePeerExactlyOnce) {
 TEST(FloodTest, DuplicatesAreCountedButSuppressed) {
   Overlay overlay = make_overlay(50, 2);
   TrafficMeter meter(50);
-  FloodPhase<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 64,
-                        [](PhaseContext&, const int&) {});
+  FlatFloodPhase flood(PeerId(0), kByte, 4, TrafficCategory::kDissemination,
+                       64, [](PhaseContext&, Span) {});
   Engine engine(overlay, meter);
   run_phase(engine, flood, 200, nullptr);
   EXPECT_EQ(flood.num_reached(), 50u);
@@ -51,8 +60,8 @@ TEST(FloodTest, TtlLimitsPropagation) {
   }
   Overlay overlay(std::move(t));
   TrafficMeter meter(10);
-  FloodPhase<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 3,
-                        [](PhaseContext&, const int&) {});
+  FlatFloodPhase flood(PeerId(0), kByte, 4, TrafficCategory::kDissemination,
+                       3, [](PhaseContext&, Span) {});
   Engine engine(overlay, meter);
   run_phase(engine, flood, 100, nullptr);
   EXPECT_EQ(flood.num_reached(), 4u);
@@ -68,8 +77,8 @@ TEST(FloodTest, DeadPeersBlockButDoNotCrash) {
   Overlay overlay(std::move(t));
   overlay.fail(PeerId(2));
   TrafficMeter meter(5);
-  FloodPhase<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 10,
-                        [](PhaseContext&, const int&) {});
+  FlatFloodPhase flood(PeerId(0), kByte, 4, TrafficCategory::kDissemination,
+                       10, [](PhaseContext&, Span) {});
   Engine engine(overlay, meter);
   run_phase(engine, flood, 100, nullptr);
   EXPECT_EQ(flood.num_reached(), 2u);  // 0 and 1; 2 is dead, 3-4 unreachable
@@ -81,8 +90,8 @@ TEST(FloodTest, BytesChargedPerForwardedCopy) {
   t.add_edge(PeerId(1), PeerId(2));
   Overlay overlay(std::move(t));
   TrafficMeter meter(3);
-  FloodPhase<int> flood(PeerId(0), 1, 16, TrafficCategory::kDissemination,
-                        10, [](PhaseContext&, const int&) {});
+  FlatFloodPhase flood(PeerId(0), kByte, 16, TrafficCategory::kDissemination,
+                       10, [](PhaseContext&, Span) {});
   Engine engine(overlay, meter);
   run_phase(engine, flood, 100, nullptr);
   // 0 -> 1, then 1 -> 2 (not back to 0): two copies of 16 bytes.
@@ -90,9 +99,9 @@ TEST(FloodTest, BytesChargedPerForwardedCopy) {
 }
 
 TEST(FloodTest, InvalidTtlThrows) {
-  EXPECT_THROW(FloodPhase<int>(PeerId(0), 1, 4,
-                               TrafficCategory::kDissemination, 0,
-                               [](PhaseContext&, const int&) {}),
+  EXPECT_THROW(FlatFloodPhase(PeerId(0), kByte, 4,
+                              TrafficCategory::kDissemination, 0,
+                              [](PhaseContext&, Span) {}),
                InvalidArgument);
 }
 

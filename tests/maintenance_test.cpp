@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace nf::agg {
 namespace {
@@ -126,42 +128,70 @@ TEST(MaintenanceTest, JoiningPeerAttaches) {
   EXPECT_EQ(snap.upstream(PeerId(4)), PeerId(3));
 }
 
+// True iff every alive peer is reachable from `from` over alive peers.
+// (build_bfs_hierarchy throws on a disconnected overlay, so it cannot be
+// the predicate.)
+bool alive_connected(const Overlay& overlay, PeerId from) {
+  std::vector<bool> seen(overlay.num_peers(), false);
+  std::vector<PeerId> stack{from};
+  seen[from.value()] = true;
+  std::uint32_t count = 1;
+  while (!stack.empty()) {
+    const PeerId p = stack.back();
+    stack.pop_back();
+    for (PeerId q : overlay.alive_neighbors(p)) {
+      if (!seen[q.value()]) {
+        seen[q.value()] = true;
+        ++count;
+        stack.push_back(q);
+      }
+    }
+  }
+  return count == overlay.num_alive();
+}
+
+// Every round in [first_round, last_round], each alive peer but `protect`
+// fails with probability `fail_prob` — unless its loss would disconnect the
+// alive overlay. Repair only promises to converge while the overlay stays
+// connected, so the schedule keeps it connected by construction.
+ChurnSchedule connected_random_failures(const Overlay& overlay,
+                                        std::uint64_t first_round,
+                                        std::uint64_t last_round,
+                                        double fail_prob, PeerId protect,
+                                        Rng& rng) {
+  Overlay alive = overlay;
+  ChurnSchedule s;
+  for (std::uint64_t r = first_round; r <= last_round; ++r) {
+    for (std::uint32_t p = 0; p < alive.num_peers(); ++p) {
+      const PeerId peer(p);
+      if (peer == protect || !rng.chance(fail_prob)) continue;
+      if (!alive.is_alive(peer)) continue;
+      alive.fail(peer);
+      if (alive_connected(alive, protect)) {
+        s.fail_at(r, peer);
+      } else {
+        alive.revive(peer);
+      }
+    }
+  }
+  return s;
+}
+
 class MaintenanceChurnTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
 
 TEST_P(MaintenanceChurnTest, RandomChurnConvergesOnWellConnectedGraphs) {
   const auto [seed, fail_prob] = GetParam();
   Rng rng(seed);
-  // Well-connected overlay: failures rarely disconnect it.
   Fixture fx(net::random_connected(60, 6.0, rng));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
   Engine engine(fx.overlay, fx.meter);
-  ChurnSchedule churn = ChurnSchedule::random_failures(
-      2, 6, 60, fail_prob, PeerId(0), rng);
+  const ChurnSchedule churn =
+      connected_random_failures(fx.overlay, 2, 6, fail_prob, PeerId(0), rng);
+  ASSERT_FALSE(churn.empty());
   engine.run(maint, 100, &churn);
 
-  // Convergence is only guaranteed if the alive overlay stayed connected;
-  // verify it did, then require stabilization.
-  const auto alive_reachable = [&] {
-    std::vector<bool> seen(60, false);
-    std::vector<PeerId> stack{PeerId(0)};
-    seen[0] = true;
-    std::uint32_t count = 1;
-    while (!stack.empty()) {
-      const PeerId p = stack.back();
-      stack.pop_back();
-      for (PeerId q : fx.overlay.alive_neighbors(p)) {
-        if (!seen[q.value()]) {
-          seen[q.value()] = true;
-          ++count;
-          stack.push_back(q);
-        }
-      }
-    }
-    return count;
-  }();
-  if (alive_reachable != fx.overlay.num_alive()) GTEST_SKIP();
-
+  ASSERT_TRUE(alive_connected(fx.overlay, PeerId(0)));
   EXPECT_TRUE(maint.stabilized(fx.overlay));
   const Hierarchy snap = maint.snapshot(fx.overlay);
   snap.validate(fx.overlay);

@@ -1,10 +1,10 @@
-#include "agg/multicast.h"
-
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <string>
 
+#include "agg/flat_phases.h"
 #include "net/session.h"
 
 namespace nf::agg {
@@ -17,6 +17,11 @@ using net::Overlay;
 using net::Topology;
 using net::TrafficCategory;
 using net::TrafficMeter;
+
+using Span = std::span<const std::uint8_t>;
+
+// A one-byte payload; most cases only count deliveries and bytes.
+const net::Bytes kByte{1};
 
 struct Fixture {
   explicit Fixture(Topology topo)
@@ -33,13 +38,14 @@ TEST(MulticastTest, EveryMemberReceivesExactlyOnce) {
   Rng rng(1);
   Fixture fx(net::random_tree(100, 3, rng));
   std::multiset<std::uint32_t> receivers;
-  MulticastPhase<std::string> mc(
-      fx.hierarchy, TrafficCategory::kDissemination,
-      [&](PhaseContext& ctx, const std::string& s) {
-        EXPECT_EQ(s, "payload");
-        receivers.insert(ctx.self().value());
-      });
-  mc.set_payload("payload", 16);
+  const std::string payload = "payload";
+  FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
+                        [&](PhaseContext& ctx, Span bytes) {
+                          EXPECT_EQ(std::string(bytes.begin(), bytes.end()),
+                                    payload);
+                          receivers.insert(ctx.self().value());
+                        });
+  mc.set_payload(net::Bytes(payload.begin(), payload.end()), 16);
   Engine engine(fx.overlay, fx.meter);
   run_phase(engine, mc, 200, nullptr);
   ASSERT_TRUE(mc.complete());
@@ -53,9 +59,10 @@ TEST(MulticastTest, EveryMemberReceivesExactlyOnce) {
 TEST(MulticastTest, ChargesOneMessagePerEdge) {
   Rng rng(2);
   Fixture fx(net::random_tree(64, 4, rng));
-  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
-                         [](PhaseContext&, const int&) {});
-  mc.set_payload(7, 10);
+  FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
+                        [](PhaseContext&, Span) {});
+  // The charge is the modelled 10 bytes, not the 3-byte encoding.
+  mc.set_payload(net::Bytes{7, 7, 7}, 10);
   Engine engine(fx.overlay, fx.meter);
   run_phase(engine, mc, 100, nullptr);
   // N-1 tree edges, one message of 10 bytes each.
@@ -69,9 +76,9 @@ TEST(MulticastTest, CompletesInHeightRounds) {
     t.add_edge(PeerId(i), PeerId(i + 1));
   }
   Fixture fx(std::move(t));
-  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
-                         [](PhaseContext&, const int&) {});
-  mc.set_payload(1, 1);
+  FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
+                        [](PhaseContext&, Span) {});
+  mc.set_payload(kByte, 1);
   Engine engine(fx.overlay, fx.meter);
   const std::uint64_t rounds = run_phase(engine, mc, 100, nullptr);
   EXPECT_TRUE(mc.complete());
@@ -81,9 +88,9 @@ TEST(MulticastTest, CompletesInHeightRounds) {
 TEST(MulticastTest, SingletonRootOnlyDeliversLocally) {
   Fixture fx{Topology(1)};
   int deliveries = 0;
-  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
-                         [&](PhaseContext&, const int&) { ++deliveries; });
-  mc.set_payload(1, 1);
+  FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
+                        [&](PhaseContext&, Span) { ++deliveries; });
+  mc.set_payload(kByte, 1);
   Engine engine(fx.overlay, fx.meter);
   run_phase(engine, mc, 10, nullptr);
   EXPECT_TRUE(mc.complete());
@@ -95,11 +102,11 @@ TEST(MulticastTest, RootHandlerRunsFirst) {
   Rng rng(3);
   Fixture fx(net::random_tree(30, 3, rng));
   std::vector<std::uint32_t> order;
-  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
-                         [&](PhaseContext& ctx, const int&) {
-                           order.push_back(ctx.self().value());
-                         });
-  mc.set_payload(1, 1);
+  FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
+                        [&](PhaseContext& ctx, Span) {
+                          order.push_back(ctx.self().value());
+                        });
+  mc.set_payload(kByte, 1);
   Engine engine(fx.overlay, fx.meter);
   run_phase(engine, mc, 100, nullptr);
   ASSERT_FALSE(order.empty());

@@ -114,6 +114,62 @@ TEST(QueryServiceTest, ChargesRequestAndReplyTraffic) {
   EXPECT_GT(stats.reply_cost_per_peer, 0.0);
 }
 
+// Every request climbs depth(requester) hops at one aggregate field each;
+// every answer descends the same hops at one item-value pair per entry.
+// Nothing else is control traffic on a loss-free network.
+TEST(QueryServiceTest, ChargesExactlyDepthHopsEachWay) {
+  Rig rig(7);
+  const NetFilterConfig cfg = config();
+  const QueryService svc(cfg);
+  // The root asks too (depth 0).
+  const std::vector<FrequentItemsRequest> reqs{{PeerId(60), 0.01},
+                                               {PeerId(33), 0.05},
+                                               {PeerId(0), 0.02},
+                                               {PeerId(17), 0.1}};
+  QueryServiceStats stats;
+  const auto responses = svc.serve(reqs, rig.workload, rig.hierarchy,
+                                   rig.overlay, rig.meter, &stats);
+  ASSERT_EQ(responses.size(), reqs.size());
+  std::uint64_t request_bytes = 0;
+  std::uint64_t reply_bytes = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_EQ(responses[i].requester, reqs[i].requester);
+    ASSERT_EQ(responses[i].threshold,
+              rig.workload.threshold_for(reqs[i].theta));
+    const std::uint64_t depth = rig.hierarchy.depth(reqs[i].requester);
+    request_bytes += depth * cfg.wire.aggregate_bytes;
+    reply_bytes +=
+        depth * responses[i].frequent.size() * cfg.wire.item_value_pair();
+  }
+  EXPECT_GT(reply_bytes, 0u);
+  EXPECT_EQ(rig.meter.total(net::TrafficCategory::kControl),
+            request_bytes + reply_bytes);
+  const double n = rig.overlay.num_peers();
+  EXPECT_DOUBLE_EQ(stats.request_cost_per_peer,
+                   static_cast<double>(request_bytes) / n);
+  EXPECT_DOUBLE_EQ(stats.reply_cost_per_peer,
+                   static_cast<double>(reply_bytes) / n);
+}
+
+// A peer may ask more than once; each of its requests gets its own answer
+// in its own slot of the request order.
+TEST(QueryServiceTest, RepeatedRequesterKeepsRequestOrder) {
+  Rig rig(8);
+  const QueryService svc(config());
+  const std::vector<FrequentItemsRequest> reqs{
+      {PeerId(60), 0.01}, {PeerId(33), 0.05}, {PeerId(60), 0.1}};
+  const auto responses = svc.serve(reqs, rig.workload, rig.hierarchy,
+                                   rig.overlay, rig.meter);
+  ASSERT_EQ(responses.size(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(responses[i].requester, reqs[i].requester) << "request " << i;
+    const Value t = rig.workload.threshold_for(reqs[i].theta);
+    EXPECT_EQ(responses[i].threshold, t) << "request " << i;
+    EXPECT_EQ(responses[i].frequent, rig.workload.frequent_items(t))
+        << "request " << i;
+  }
+}
+
 TEST(QueryServiceTest, RejectsBadInput) {
   Rig rig(6);
   const QueryService svc(config());
