@@ -12,15 +12,18 @@
 // round loop (tests/steady_alloc_test.cpp).
 //
 // State layout (DESIGN.md §6f): FlatAggregateConvergecastPhase keeps the
-// per-peer f×g group sums in one contiguous PeerRowArena<u64> — peer-major
-// rows, so a merge is a contiguous column add into the parent's row — and
-// decomposes the per-peer bookkeeping (pending counts, sent flags, causal
-// parents) into dense parallel arenas instead of a per-peer struct with
+// f×g group sums of the peers that merge — members with children, plus the
+// root — in one contiguous PeerRowArena<u64> reached through a dense
+// peer→row index. Rows are contiguous, so a merge is a column add into the
+// parent's row. A leaf never merges: it folds its contribution into a
+// per-thread scratch row and sends it from on_start, so it owns no row.
+// The per-peer bookkeeping (pending counts, sent flags, causal parents) is
+// decomposed into dense parallel arenas instead of a per-peer struct with
 // owning members. FlatPairsConvergecastPhase keeps one sorted ValueMap per
-// open peer and merges each child's encoded run into it on arrival with
-// the fused decode-merge net::merge_pairs_from — no intermediate map, no
-// re-sort. Its merges grow the map, so it is the one phase here outside
-// the zero-alloc guarantee.
+// open peer, adopted by move from the LocalFn, and merges each child's
+// encoded run into it on arrival with the fused decode-merge
+// net::merge_pairs_from — no intermediate map, no re-sort. Its merges grow
+// the map, so it is the one phase here outside the zero-alloc guarantee.
 //
 // Wire-size charging: pass `flat_bytes != 0` to charge the paper's flat
 // field model (WireModel::kFlatFields) while still shipping the encoded
@@ -89,35 +92,52 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   void on_run_start(const net::Overlay& overlay) override {
     const auto n = overlay.num_peers();
     complete_.store(false, std::memory_order_relaxed);
-    sums_.assign(n, width_, 0);
     pending_.assign(n, 0);
     init_.assign(n, false);
     sent_.assign(n, false);
     sent_bytes_.assign(n, 0);
-    // Causal-parent slots, one contiguous store with per-peer offsets:
-    // each peer records at most 1 (phase-open cause) + |downstream| ids.
+    // Rows only where sums accumulate: members with children, and the root
+    // (whose row is the result even when it has no children). Causal-parent
+    // slots live in one contiguous store with per-peer offsets: each member
+    // records at most 1 (phase-open cause) + |downstream| ids.
+    row_of_.assign(n, kNoRow);
     parent_count_.assign(n, 0);
     parent_offset_.assign(n + 1, 0);
+    std::uint32_t rows = 0;
     std::uint32_t off = 0;
     for (std::uint32_t p = 0; p < n; ++p) {
+      const PeerId id(p);
       parent_offset_[p] = off;
-      if (!hierarchy_.is_member(PeerId(p))) continue;  // no slots needed
-      off += 1 + static_cast<std::uint32_t>(
-                     hierarchy_.downstream(PeerId(p)).size());
+      if (!hierarchy_.is_member(id)) continue;  // no row, no slots
+      const auto children =
+          static_cast<std::uint32_t>(hierarchy_.downstream(id).size());
+      if (children != 0 || id == hierarchy_.root()) row_of_[p] = rows++;
+      off += 1 + children;
     }
     parent_offset_[n] = off;
+    sums_.assign(rows, width_, 0);
     parents_.assign(off, obs::kNoLineage);
   }
 
   void on_start(net::PhaseContext& ctx) override {
     const PeerId p = ctx.self();
     if (!hierarchy_.is_member(p)) return;
-    local_(p, sums_.row(p));
     pending_[p] =
         static_cast<std::uint32_t>(hierarchy_.downstream(p).size());
     init_[p] = true;
     push_parent(p, ctx.cause());
-    maybe_forward(ctx);
+    if (row_of_[p] != kNoRow) {
+      local_(p, sums_.row(row_of_[p]));
+      maybe_forward(ctx);
+      return;
+    }
+    // A leaf sends its contribution at once, so a scratch row serves it.
+    // One per thread: it outlives this phase (a warmed run allocates
+    // nothing) and no two concurrently running shards share it.
+    thread_local std::vector<std::uint64_t> scratch;
+    scratch.assign(width_, 0);
+    local_(p, scratch);
+    forward(ctx, scratch);
   }
 
   [[nodiscard]] bool done() const override {
@@ -128,8 +148,11 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   /// The global sums; valid once complete().
   [[nodiscard]] std::span<const std::uint64_t> result() const {
     require(complete(), "convergecast not complete");
-    return sums_.row(hierarchy_.root());
+    return sums_.row(row_of_[hierarchy_.root()]);
   }
+
+  /// Rows held this run: one per member with children, plus the root.
+  [[nodiscard]] std::uint32_t num_rows() const { return sums_.num_rows(); }
 
   /// Bytes this peer propagated upward (0 for the root). Valid after run.
   [[nodiscard]] std::uint64_t sent_bytes(PeerId p) const {
@@ -149,8 +172,8 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
                           p.value(), sent_bytes_[p]);
     }
     // The merge: decode-accumulate into this peer's row, no intermediate
-    // vector. Column adds stay contiguous because rows are peer-major.
-    net::add_aggregates_from(bytes, sums_.row(p));
+    // vector. Only peers with children receive, and each of them has a row.
+    net::add_aggregates_from(bytes, sums_.row(row_of_[p]));
     --pending_[p];
     push_parent(p, ctx.cause());
     maybe_forward(ctx);
@@ -169,12 +192,18 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
     if (pending_[p] != 0 || sent_[p] != 0) return;
     if (p == hierarchy_.root()) {
       complete_.store(true, std::memory_order_relaxed);
-      if (on_complete_) on_complete_(ctx, sums_.row(p));
+      if (on_complete_) on_complete_(ctx, sums_.row(row_of_[p]));
       return;
     }
+    forward(ctx, sums_.row(row_of_[p]));
+  }
+
+  // Sends this peer's finished sums upstream (never called at the root).
+  void forward(net::PhaseContext& ctx, std::span<const std::uint64_t> sums) {
+    const PeerId p = ctx.self();
     sent_[p] = true;
     net::PayloadWriter w = ctx.flat_payload();
-    net::encode_aggregates_to(w, sums_.row(p));
+    net::encode_aggregates_to(w, sums);
     const net::PayloadRef ref = w.finish();
     const std::uint64_t bytes = flat_bytes_ != 0 ? flat_bytes_ : ref.length;
     sent_bytes_[p] = bytes;
@@ -194,7 +223,10 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   obs::Histogram* obs_msg_bytes_ = nullptr;
   CompleteFn on_complete_;
 
+  static constexpr std::uint32_t kNoRow = ~0u;
+
   // SoA per-peer state (see header comment).
+  PeerArena<std::uint32_t> row_of_;  ///< peer -> sums_ row, or kNoRow
   PeerRowArena<std::uint64_t> sums_;
   PeerArena<std::uint32_t> pending_;
   PeerArena<bool> init_;

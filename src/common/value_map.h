@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,23 +43,15 @@ class ValueMap {
     return out;
   }
 
-  /// Builds from pairs already sorted by id with no duplicates — e.g. the
-  /// arena-backed Phase-2 candidate rows, which are written in the sorted
-  /// order of the source map they filter. Skips the sort entirely.
-  static ValueMap from_sorted(std::span<const value_type> pairs) {
-    ValueMap out;
-    out.entries_.assign(pairs.begin(), pairs.end());
-    ensure(std::is_sorted(out.entries_.begin(), out.entries_.end(),
-                          [](const value_type& a, const value_type& b) {
-                            return a.first < b.first;
-                          }),
-           "from_sorted input must be sorted by id");
-    return out;
-  }
-
-  /// Adds `v` to the value of `id` (inserting if absent). O(log n) lookup,
-  /// O(n) insert; use `from_unsorted` or `merge_add` for bulk building.
+  /// Adds `v` to the value of `id` (inserting if absent). An id above every
+  /// held id appends in amortized O(1), so ascending input builds a map at
+  /// vector speed; otherwise O(log n) lookup and O(n) insert — use
+  /// `from_unsorted` or `merge_add` for bulk building out of order.
   void add(Id id, Value v) {
+    if (entries_.empty() || entries_.back().first < id) {
+      entries_.emplace_back(id, v);
+      return;
+    }
     auto it = lower_bound(id);
     if (it != entries_.end() && it->first == id) {
       it->second += v;

@@ -40,12 +40,12 @@ IfiSessionPhases::IfiSessionPhases(const NetFilter& netfilter,
           /*local=*/
           [this](PeerId p) {
             ensure(ready_[p] != 0, "peer aggregating before materialization");
-            return partial_.take(p);
+            return std::move(candidates_[p]);
           },
           netfilter.pair_wire_bytes(), netfilter.config().obs),
+      candidates_(hierarchy.num_peers()),
       ready_(hierarchy.num_peers(), false) {
   require(threshold >= 1, "threshold must be >= 1");
-  partial_.configure(items);
   filtering_.set_on_complete(
       [this](net::PhaseContext& ctx, std::span<const Value> global) {
         finish_filtering(ctx, global);
@@ -107,7 +107,7 @@ void IfiSessionPhases::on_heavy_received(
   const HeavyGroupSet hg =
       decode_heavy_groups(encoded, cfg.num_filters, cfg.num_groups);
   const PeerId p = ctx.self();
-  partial_.materialize(p, items_.local_items(p), hg, netfilter_.bank());
+  candidates_[p] = netfilter_.materialize_candidates(items_.local_items(p), hg);
   ready_[p] = true;
   ctx.open_phase(aggregation_pid_);
 }

@@ -25,6 +25,7 @@
 
 #include "agg/flat_phases.h"
 #include "agg/hierarchy.h"
+#include "common/arena.h"
 #include "common/item_source.h"
 #include "core/netfilter.h"
 #include "net/session.h"
@@ -98,10 +99,12 @@ class IfiSessionPhases {
   net::PhaseId dissemination_pid_ = 0;
   net::PhaseId aggregation_pid_ = 0;
 
-  // Per-peer candidate rows in one flat slab: written from the receiving
-  // peer's shard on heavy receipt, adopted by the same peer's aggregation
-  // on_start. The flags are a byte arena so neighbors never share a byte.
-  CandidateRows partial_;
+  // Per-peer candidate maps, built from the passing entries only on heavy
+  // receipt (the receiving peer's shard) and moved into the same peer's
+  // aggregation accumulator on its on_start, so a peer's candidates live
+  // until it forwards them. The flags are a byte arena so neighbors never
+  // share a byte.
+  PeerArena<LocalItems> candidates_;
   PeerArena<bool> ready_;
 
   // Root-shard writes, published by the round barrier / read after the run.

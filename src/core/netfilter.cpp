@@ -1,6 +1,7 @@
 #include "core/netfilter.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "agg/flat_phases.h"
 #include "common/arena.h"
@@ -219,8 +220,10 @@ void NetFilter::local_group_aggregates_into(const LocalItems& items,
 
 LocalItems NetFilter::materialize_candidates(const LocalItems& items,
                                              const HeavyGroupSet& heavy) const {
-  LocalItems out = items;
-  out.retain([&](ItemId id, Value) { return heavy.passes(id, bank_); });
+  LocalItems out;
+  for (const auto& [id, value] : items) {
+    if (heavy.passes(id, bank_)) out.add(id, value);
+  }
   return out;
 }
 
@@ -320,11 +323,10 @@ NetFilterResult NetFilter::verify_candidates(
   // (lines 3-4). The downward wave strictly precedes the upward one — no
   // peer can contribute before it has the heavy list — so the two phases
   // run back to back.
-  // Candidate rows live in one flat slab (disjoint spans per peer, written
-  // from the receiving peer's shard); the flags are a byte arena so
-  // neighbors never share a written byte.
-  CandidateRows partial;
-  partial.configure(items);
+  // Each peer's candidate map is written from its own shard and moved into
+  // its aggregation accumulator; the flags are a byte arena so neighbors
+  // never share a written byte.
+  PeerArena<LocalItems> partial(overlay.num_peers());
   PeerArena<bool> ready(overlay.num_peers(), false);
 
   agg::FlatMulticastPhase down(
@@ -334,7 +336,7 @@ NetFilterResult NetFilter::verify_candidates(
         const PeerId p = ctx.self();
         const HeavyGroupSet hg = decode_heavy_groups(
             body, config_.num_filters, config_.num_groups);
-        partial.materialize(p, items.local_items(p), hg, bank_);
+        partial[p] = materialize_candidates(items.local_items(p), hg);
         ready[p] = true;
       },
       config_.obs);
@@ -356,7 +358,7 @@ NetFilterResult NetFilter::verify_candidates(
       /*local=*/
       [&](PeerId p) {
         ensure(ready[p] != 0, "peer aggregating before materialization");
-        return partial.take(p);
+        return std::move(partial[p]);
       },
       pair_wire_bytes(), config_.obs);
   std::uint64_t up_rounds = 0;

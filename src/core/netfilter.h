@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "agg/hierarchy.h"
-#include "common/arena.h"
 #include "common/hashing.h"
 #include "common/item_source.h"
 #include "core/config.h"
@@ -38,51 +37,6 @@ struct HeavyGroupSet {
 
   /// True iff every one of the item's f groups is heavy.
   [[nodiscard]] bool passes(ItemId item, const FilterBank& bank) const;
-};
-
-/// Arena-backed Phase-2 candidate rows: peer p's materialized candidates
-/// occupy one contiguous span of a shared pair slab instead of N little
-/// maps. Rows are written in place on the dissemination receive — sorted
-/// order is inherited from the peer's local item map, so adopting a row
-/// into a LocalItems skips the sort — and distinct peers own disjoint
-/// spans, which preserves the sharded engine's disjoint-writer contract
-/// (common/arena.h). Capacity is bounded by the local item counts, so a
-/// warmed instance never reallocates across runs.
-class CandidateRows {
- public:
-  /// Sizes every row to its upper bound (the peer's local item count).
-  void configure(const ItemSource& items) {
-    const std::uint32_t n = items.num_peers();
-    offsets_.assign(std::size_t{n} + 1, 0);
-    for (std::uint32_t p = 0; p < n; ++p) {
-      offsets_[p + 1] = offsets_[p] + items.local_items(PeerId(p)).size();
-    }
-    slab_.resize(offsets_[n]);
-    counts_.assign(n, 0);
-  }
-
-  /// Writes the entries of `local` that pass `heavy` under `bank` into
-  /// p's row (runs on the shard that owns p).
-  void materialize(PeerId p, const LocalItems& local,
-                   const HeavyGroupSet& heavy, const FilterBank& bank) {
-    std::size_t w = offsets_[p.value()];
-    for (const auto& [id, value] : local) {
-      if (heavy.passes(id, bank)) slab_[w++] = {id, value};
-    }
-    counts_[p] = static_cast<std::uint32_t>(w - offsets_[p.value()]);
-  }
-
-  /// The row as a ready-to-merge map (sorted adoption, no re-sort).
-  [[nodiscard]] LocalItems take(PeerId p) const {
-    return LocalItems::from_sorted(
-        std::span<const LocalItems::value_type>(slab_).subspan(
-            offsets_[p.value()], counts_[p]));
-  }
-
- private:
-  std::vector<std::size_t> offsets_;  ///< per-peer row starts, [n]+1
-  std::vector<LocalItems::value_type> slab_;
-  PeerArena<std::uint32_t> counts_;
 };
 
 struct NetFilterStats {
@@ -162,7 +116,9 @@ class NetFilter {
                                    std::span<Value> out) const;
 
   /// The candidates visible in one local item set given the heavy bitmap —
-  /// what each peer materializes in phase 2 (Algorithm 2, line 2).
+  /// what each peer materializes in phase 2 (Algorithm 2, line 2). Built
+  /// from the passing entries alone, in the source's sorted order, so its
+  /// memory tracks the candidates, not the local item set.
   [[nodiscard]] LocalItems materialize_candidates(
       const LocalItems& items, const HeavyGroupSet& heavy) const;
 

@@ -193,6 +193,14 @@ std::vector<std::uint64_t> decode_aggregates(
   return out;
 }
 
+FloodFrame decode_flood_frame(std::span<const std::uint8_t> in,
+                              std::uint32_t max_ttl) {
+  std::size_t offset = 0;
+  const std::uint64_t ttl = get_varint(in, offset);
+  ensure(ttl < max_ttl, "flood ttl exceeds the phase bound");
+  return {static_cast<std::uint32_t>(ttl), in.subspan(offset)};
+}
+
 Bytes encode_aggregates_fixed32(std::span<const std::uint64_t> values) {
   Bytes out;
   put_varint(out, values.size());

@@ -71,6 +71,20 @@ void merge_pairs_from(std::span<const std::uint8_t> in,
 [[nodiscard]] Bytes encode_aggregates_fixed32(
     std::span<const std::uint64_t> values);
 
+/// One flood frame (net/flood.h): varint(remaining ttl), then the opaque
+/// payload body.
+struct FloodFrame {
+  std::uint32_t ttl = 0;
+  std::span<const std::uint8_t> body;  ///< a view into the decoded input
+};
+
+/// Splits a flood frame without allocating. Throws ProtocolError on a
+/// truncated or over-long varint and on any ttl >= `max_ttl`: the
+/// originator sends max_ttl - 1 and every hop decrements it, so no genuine
+/// copy carries more, and a larger value would re-flood past the bound.
+[[nodiscard]] FloodFrame decode_flood_frame(std::span<const std::uint8_t> in,
+                                            std::uint32_t max_ttl);
+
 // --- Slab-writer variants (net/payload.h) ---------------------------------
 //
 // Byte-for-byte identical to the Bytes-returning encoders above, but append

@@ -33,7 +33,8 @@
 namespace nf::net {
 
 /// Flat slab-backed flood: the wire format is varint(remaining ttl)
-/// followed by the opaque payload bytes. The originator installs the
+/// followed by the opaque payload bytes (net::decode_flood_frame, which
+/// rejects a ttl no genuine copy carries). The originator installs the
 /// encoded payload once; every forward is a varint prepend plus a span copy
 /// into the shard slab — no payload object is ever reconstructed in flight.
 /// Shard-safe: the seen flags are a byte arena written only by the owning
@@ -97,14 +98,12 @@ class FlatFloodPhase final : public FlatPhase {
       PeerId from) override {
     const PeerId self = ctx.self();
     num_copies_.fetch_add(1, std::memory_order_relaxed);
+    const FloodFrame frame = decode_flood_frame(bytes, ttl_);  // every copy
     if (seen_[self.value()] != 0) return;  // duplicate
     seen_[self.value()] = true;
     num_reached_.fetch_add(1, std::memory_order_relaxed);
-    std::size_t offset = 0;
-    const std::uint64_t ttl = get_varint(bytes, offset);
-    const std::span<const std::uint8_t> body = bytes.subspan(offset);
-    on_receive_(ctx, body);
-    if (ttl > 0) forward(ctx, static_cast<std::uint32_t>(ttl), body, from);
+    on_receive_(ctx, frame.body);
+    if (frame.ttl > 0) forward(ctx, frame.ttl, frame.body, from);
   }
 
  private:

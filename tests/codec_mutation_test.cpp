@@ -201,6 +201,30 @@ TEST(CodecMutationTest, DecodeAggregates) {
   EXPECT_GT(decoded, kMutationsPerDecoder / 20);
 }
 
+TEST(CodecMutationTest, DecodeFloodFrame) {
+  // Flood frames as FlatFloodPhase forwards them: varint(ttl) + payload,
+  // with ttl below the phase bound.
+  static constexpr std::uint32_t kMaxTtl = 200;
+  Rng rng(107);
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < 40; ++i) {
+    Bytes frame;
+    put_varint(frame, rng.below(kMaxTtl));
+    for (std::uint64_t k = rng.below(16); k > 0; --k) {
+      frame.push_back(static_cast<std::uint8_t>(rng()));
+    }
+    corpus.push_back(std::move(frame));
+  }
+  const int decoded = fuzz(7, corpus, [](auto in) {
+    const FloodFrame frame = decode_flood_frame(in, kMaxTtl);
+    EXPECT_LT(frame.ttl, kMaxTtl);
+    // The body is the input's tail, after at least the one-byte ttl.
+    EXPECT_LT(frame.body.size(), in.size());
+    EXPECT_EQ(frame.body.data() + frame.body.size(), in.data() + in.size());
+  });
+  EXPECT_GT(decoded, kMutationsPerDecoder / 20);
+}
+
 TEST(CodecMutationTest, DecodeHeavyGroups) {
   // Heavy-group sets as the dissemination multicast and the gossip flood
   // ship them: f bitmaps of g groups, delta-coded as filter-major ids.

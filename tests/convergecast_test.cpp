@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "agg/flat_phases.h"
 #include "common/value_map.h"
 #include "net/churn.h"
 #include "net/session.h"
@@ -26,6 +27,11 @@ struct Fixture {
       : overlay(std::move(topo)),
         meter(overlay.num_peers()),
         hierarchy(build_bfs_hierarchy(overlay, PeerId(0))) {}
+  // Only the marked peers join the hierarchy; the rest are hosted.
+  Fixture(Topology topo, const std::vector<bool>& participant)
+      : overlay(std::move(topo)),
+        meter(overlay.num_peers()),
+        hierarchy(build_bfs_hierarchy(overlay, PeerId(0), participant)) {}
 
   Overlay overlay;
   TrafficMeter meter;
@@ -216,6 +222,82 @@ INSTANTIATE_TEST_SUITE_P(
     Graphs, ConvergecastTopologyTest,
     ::testing::Combine(::testing::Values(2u, 5u, 37u, 256u, 1000u),
                        ::testing::Values(11u, 12u)));
+
+// The flat f×g convergecast holds rows only at peers that merge. Each case
+// checks the global sums against a brute-force column sum over the members
+// and the row count against members-with-children plus the root, serial
+// and 4-sharded.
+constexpr std::uint32_t kFlatWidth = 5;
+
+std::uint64_t flat_slot(PeerId p, std::uint32_t j) {
+  return std::uint64_t{p.value()} * 7 + j * j + 1;
+}
+
+void expect_flat_sums(Fixture& fx, std::uint32_t threads) {
+  FlatAggregateConvergecastPhase cast(
+      fx.hierarchy, TrafficCategory::kFiltering, kFlatWidth,
+      [](PeerId p, std::span<std::uint64_t> out) {
+        for (std::uint32_t j = 0; j < kFlatWidth; ++j) {
+          out[j] += flat_slot(p, j);  // adds: the row must arrive zeroed
+        }
+      },
+      /*flat_bytes=*/0);
+  Engine engine(fx.overlay, fx.meter);
+  engine.set_threads(threads);
+  run_phase(engine, cast, 1000, nullptr, {.open_on_message = false});
+  ASSERT_TRUE(cast.complete());
+
+  std::vector<std::uint64_t> expect(kFlatWidth, 0);
+  std::uint32_t rows = 0;
+  for (std::uint32_t i = 0; i < fx.hierarchy.num_peers(); ++i) {
+    const PeerId p(i);
+    if (!fx.hierarchy.is_member(p)) continue;
+    for (std::uint32_t j = 0; j < kFlatWidth; ++j) expect[j] += flat_slot(p, j);
+    if (p == fx.hierarchy.root() || !fx.hierarchy.is_leaf(p)) ++rows;
+  }
+  const auto got = cast.result();
+  EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect)
+      << "threads=" << threads;
+  EXPECT_EQ(cast.num_rows(), rows) << "threads=" << threads;
+}
+
+void expect_flat_sums(Fixture& fx) {
+  expect_flat_sums(fx, 1);
+  expect_flat_sums(fx, 4);
+}
+
+TEST(FlatConvergecastTest, SinglePeerIsItsOwnRoot) {
+  Fixture fx{Topology(1)};
+  expect_flat_sums(fx);
+}
+
+TEST(FlatConvergecastTest, ChainHasOneLeaf) {
+  Fixture fx(line(9));
+  expect_flat_sums(fx);
+}
+
+TEST(FlatConvergecastTest, StarHoldsOnlyTheRootRow) {
+  Topology t(12);
+  for (std::uint32_t i = 1; i < 12; ++i) t.add_edge(PeerId(0), PeerId(i));
+  Fixture fx(std::move(t));
+  expect_flat_sums(fx);
+}
+
+TEST(FlatConvergecastTest, NonMembersHoldNoRowAndContributeNothing) {
+  Rng rng(13);
+  std::vector<bool> participant(60, false);
+  for (std::uint32_t p = 0; p < 60; p += 2) participant[p] = true;
+  Fixture fx(net::random_connected(60, 4.0, rng), participant);
+  ASSERT_LT(fx.hierarchy.num_members(), 60u);
+  ASSERT_GT(fx.hierarchy.num_members(), 1u);
+  expect_flat_sums(fx);
+}
+
+TEST(FlatConvergecastTest, RandomTreeMatchesColumnSum) {
+  Rng rng(14);
+  Fixture fx(net::random_tree(300, 3, rng));
+  expect_flat_sums(fx);
+}
 
 }  // namespace
 }  // namespace nf::agg

@@ -98,6 +98,30 @@ TEST(FloodTest, BytesChargedPerForwardedCopy) {
   EXPECT_EQ(meter.total(TrafficCategory::kDissemination), 32u);
 }
 
+TEST(FloodTest, FrameWithTtlAtOrAboveTheBoundIsRejected) {
+  // A frame carrying ttl = 2^32 once passed a `ttl > 0` check and was
+  // narrowed to 32 bits, forwarding 0u - 1 hops: one corrupt copy would
+  // re-flood without bound. The originator of a ttl-64 flood sends 63.
+  const auto frame = [](std::uint64_t ttl) {
+    Bytes out;
+    put_varint(out, ttl);
+    out.push_back(0xAB);
+    return out;
+  };
+  EXPECT_THROW((void)decode_flood_frame(frame(1ull << 32), 64),
+               ProtocolError);
+  EXPECT_THROW((void)decode_flood_frame(frame(1ull << 32), 0xFFFF'FFFFu),
+               ProtocolError);
+  EXPECT_THROW((void)decode_flood_frame(frame(64), 64), ProtocolError);
+  const Bytes ok = frame(63);
+  const FloodFrame f = decode_flood_frame(ok, 64);
+  EXPECT_EQ(f.ttl, 63u);
+  ASSERT_EQ(f.body.size(), 1u);
+  EXPECT_EQ(f.body[0], 0xAB);
+  EXPECT_THROW((void)decode_flood_frame(Bytes{}, 64), ProtocolError);
+  EXPECT_THROW((void)decode_flood_frame(Bytes{0x80}, 64), ProtocolError);
+}
+
 TEST(FloodTest, InvalidTtlThrows) {
   EXPECT_THROW(FlatFloodPhase(PeerId(0), kByte, 4,
                               TrafficCategory::kDissemination, 0,

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "core/ifi_session.h"
+#include "net/codec.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -254,6 +260,142 @@ TEST(NetFilterTest, RunIsDeterministic) {
   EXPECT_EQ(a.stats.heavy_groups_total, b.stats.heavy_groups_total);
   EXPECT_EQ(a.stats.num_candidates, b.stats.num_candidates);
 }
+
+// Phase-2 candidate maps, pipelined and barriered, against
+// materialize_candidates for every peer. A member's aggregation message is
+// its own candidate map merged with its children's messages, so each
+// message pins one peer's map given its subtree's.
+enum class Theta { kEveryItem, kSome, kNoItem };
+
+Value theta_for(Theta kind, const wl::Workload& workload) {
+  switch (kind) {
+    case Theta::kEveryItem:
+      return 1;  // every group with mass is heavy: all items are candidates
+    case Theta::kSome:
+      return workload.threshold_for(0.01);
+    case Theta::kNoItem:
+      return workload.total_value() + 1;  // no group is heavy
+  }
+  return 1;
+}
+
+// Every member's expected aggregation message, bottom-up; also checks that
+// materialize_candidates is the heavy-set filter of the local map.
+std::vector<LocalItems> expected_messages(const NetFilter& nf,
+                                          const wl::Workload& workload,
+                                          const agg::Hierarchy& hierarchy,
+                                          const HeavyGroupSet& heavy) {
+  std::vector<LocalItems> out(hierarchy.num_peers());
+  for (const PeerId p : hierarchy.members_deepest_first()) {
+    const LocalItems& local = workload.local_items(p);
+    const LocalItems own = nf.materialize_candidates(local, heavy);
+    LocalItems filtered = local;
+    filtered.retain(
+        [&](ItemId id, Value) { return heavy.passes(id, nf.bank()); });
+    EXPECT_EQ(own, filtered) << "peer " << p.value();
+    out[p.value()].merge_add(own);
+    for (const PeerId c : hierarchy.downstream(p)) {
+      out[p.value()].merge_add(out[c.value()]);
+    }
+  }
+  return out;
+}
+
+std::uint64_t count_frequent(const LocalItems& candidates, Value t) {
+  std::uint64_t n = 0;
+  for (const auto& [id, v] : candidates) n += v >= t ? 1 : 0;
+  return n;
+}
+
+std::string candidate_map_case_name(
+    const ::testing::TestParamInfo<std::tuple<Theta, std::uint32_t>>& info) {
+  static constexpr const char* kThetas[] = {"EveryItem", "Some", "NoItem"};
+  return kThetas[static_cast<int>(std::get<0>(info.param))] +
+         std::string("_threads") + std::to_string(std::get<1>(info.param));
+}
+
+class NetFilterCandidateMapTest
+    : public ::testing::TestWithParam<std::tuple<Theta, std::uint32_t>> {};
+
+TEST_P(NetFilterCandidateMapTest, PipelinedMessagesMatchMaterialization) {
+  const auto [kind, threads] = GetParam();
+  Rig rig(120, 3000, 1.0, 31);
+  const Value t = theta_for(kind, rig.workload);
+  const NetFilter nf(config(40, 2));
+  net::SessionMux mux(nullptr);
+  const net::SessionId sid = mux.add_session();
+  IfiSessionPhases ifi(nf, rig.workload, rig.hierarchy, t);
+  (void)ifi.register_phases(mux, sid, net::PhaseStart::kAllPeers);
+  net::Engine engine(rig.overlay, rig.meter);
+  engine.set_threads(threads);
+  std::vector<std::optional<LocalItems>> sent(rig.overlay.num_peers());
+  engine.set_send_probe([&](const net::Envelope& env) {
+    if (env.category != TrafficCategory::kAggregation) return;
+    ASSERT_FALSE(sent[env.from.value()].has_value());
+    sent[env.from.value()] = net::decode_pairs(engine.resolve(env.flat));
+  });
+  (void)engine.run(mux, 10000);
+  ASSERT_TRUE(ifi.complete());
+
+  const std::vector<LocalItems> expect =
+      expected_messages(nf, rig.workload, rig.hierarchy, ifi.heavy());
+  const PeerId root = rig.hierarchy.root();
+  for (const PeerId p : rig.hierarchy.members_deepest_first()) {
+    if (p == root) continue;
+    ASSERT_TRUE(sent[p.value()].has_value()) << "peer " << p.value();
+    EXPECT_EQ(*sent[p.value()], expect[p.value()]) << "peer " << p.value();
+  }
+  const NetFilterResult& res = ifi.result();
+  EXPECT_EQ(res.stats.num_candidates, expect[root.value()].size());
+  EXPECT_EQ(res.stats.num_frequent, count_frequent(expect[root.value()], t));
+  EXPECT_EQ(res.frequent, rig.workload.frequent_items(t));
+  if (kind == Theta::kEveryItem) {
+    EXPECT_EQ(expect[root.value()], rig.workload.global());
+  }
+  if (kind == Theta::kNoItem) {
+    EXPECT_TRUE(expect[root.value()].empty());
+  }
+}
+
+TEST_P(NetFilterCandidateMapTest, BarrieredMessagesMatchMaterialization) {
+  const auto [kind, threads] = GetParam();
+  Rig rig(120, 3000, 1.0, 31);
+  const Value t = theta_for(kind, rig.workload);
+  NetFilterConfig cfg = config(40, 2);
+  cfg.barriered = true;
+  cfg.threads = threads;
+  const NetFilter nf(cfg);
+  NetFilterStats stats;
+  const HeavyGroupSet heavy = nf.filter_candidates(
+      rig.workload, rig.hierarchy, rig.overlay, rig.meter, t, &stats);
+  const NetFilterResult res =
+      nf.verify_candidates(rig.workload, rig.hierarchy, rig.overlay,
+                           rig.meter, t, heavy, stats);
+
+  // Flat-field charging: every aggregation message costs one pair per
+  // entry, so each peer's charged bytes give its message's size.
+  const std::vector<LocalItems> expect =
+      expected_messages(nf, rig.workload, rig.hierarchy, heavy);
+  const std::uint64_t pair = cfg.wire.item_value_pair();
+  const PeerId root = rig.hierarchy.root();
+  for (const PeerId p : rig.hierarchy.members_deepest_first()) {
+    if (p == root) continue;
+    EXPECT_EQ(rig.meter.per_peer_breakdown(p)[static_cast<std::size_t>(
+                  TrafficCategory::kAggregation)],
+              pair * expect[p.value()].size())
+        << "peer " << p.value();
+  }
+  EXPECT_EQ(res.stats.num_candidates, expect[root.value()].size());
+  EXPECT_EQ(res.stats.num_frequent, count_frequent(expect[root.value()], t));
+  EXPECT_EQ(res.frequent, rig.workload.frequent_items(t));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Thresholds, NetFilterCandidateMapTest,
+    ::testing::Combine(::testing::Values(Theta::kEveryItem, Theta::kSome,
+                                         Theta::kNoItem),
+                       ::testing::Values(1u, 4u)),
+    candidate_map_case_name);
 
 }  // namespace
 }  // namespace nf::core

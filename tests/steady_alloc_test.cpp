@@ -88,6 +88,33 @@ TEST(SteadyAllocTest, WarmedFlatRunAllocatesNothing) {
       << "flat hot path allocated on a warmed engine";
 }
 
+TEST(SteadyAllocTest, WarmedStarOfLeavesAllocatesNothing) {
+  // Every member but the root is a leaf, so all contributions but one go
+  // through the per-thread scratch row instead of a phase-owned row: the
+  // scratch must outlive the warm-up phase object for this to stay at 0.
+  ASSERT_TRUE(alloc_hook::armed());
+  net::Topology star(kPeers);
+  for (std::uint32_t p = 1; p < kPeers; ++p) {
+    star.add_edge(PeerId(0), PeerId(p));
+  }
+  Overlay overlay(std::move(star));
+  TrafficMeter meter(overlay.num_peers());
+  const Hierarchy hierarchy = build_bfs_hierarchy(overlay, PeerId(0));
+  Engine engine(overlay, meter);
+
+  FlatAggregateConvergecastPhase warm = make_cast(hierarchy);
+  run_cast(engine, warm);
+  ASSERT_TRUE(warm.complete());
+  ASSERT_EQ(warm.num_rows(), 1u);  // the root's alone
+
+  engine.begin_steady_state();
+  FlatAggregateConvergecastPhase steady = make_cast(hierarchy);
+  run_cast(engine, steady);
+  ASSERT_TRUE(steady.complete());
+  EXPECT_EQ(engine.steady_allocs(), 0u)
+      << "leaf scratch path allocated on a warmed engine";
+}
+
 TEST(SteadyAllocTest, WarmedLinkStatsChargePathAllocatesNothing) {
   // The telemetry plane's own contract: after the warm-up calls
   // (set_link_capacity / configure_levels / bind_series), charge() touches
