@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/error.h"
+#include "common/hashing.h"
 
 namespace nf::wl {
 namespace {
@@ -142,6 +143,70 @@ TEST(WorkloadTest, InvalidConfigThrows) {
   bad = small_config();
   bad.instances_per_item = 0.0;
   EXPECT_THROW((void)Workload::generate(bad), InvalidArgument);
+}
+
+// One 64-bit digest of everything `generate` produces: every peer's
+// (id, value) pairs in order, the global map and the grand total.
+std::uint64_t fingerprint(const WorkloadConfig& cfg) {
+  const Workload w = Workload::generate(cfg);
+  std::uint64_t h = 0;
+  auto mix = [&h](std::uint64_t x) {
+    h = fmix64(h ^ x) + 0x9E3779B97F4A7C15ull;
+  };
+  for (std::uint32_t p = 0; p < w.num_peers(); ++p) {
+    const auto& local = w.local_items(PeerId(p));
+    mix(local.size());
+    for (const auto& [id, v] : local) {
+      mix(id.value());
+      mix(v);
+    }
+  }
+  mix(w.global().size());
+  for (const auto& [id, v] : w.global()) {
+    mix(id.value());
+    mix(v);
+  }
+  mix(w.total_value());
+  return h;
+}
+
+WorkloadConfig shape(std::uint32_t peers, std::uint64_t items,
+                     double instances_per_item) {
+  WorkloadConfig cfg;
+  cfg.num_peers = peers;
+  cfg.num_items = items;
+  cfg.instances_per_item = instances_per_item;
+  cfg.alpha = 1.0;
+  cfg.seed = 42;
+  return cfg;
+}
+
+// Pins the exact output of `generate` (its RNG draw order, the rank -> id
+// mapping and the per-peer maps), so a faster generator must reproduce the
+// committed workloads bit for bit. The configs cover the benchmark shapes at
+// test size, the degenerate corners and, last, two that split the peers into
+// several key buckets: N*n above 2^32, and one peer range capped by count.
+TEST(WorkloadTest, GenerateMatchesGoldenFingerprint) {
+  std::vector<std::pair<WorkloadConfig, std::uint64_t>> golden;
+  // The perfbench scale, unpruned and multiquery shapes at --tiny size.
+  golden.emplace_back(shape(2000, 2000, 2.0), 0x78a30dcb95452013ull);
+  golden.emplace_back(shape(100, 10000, 10.0), 0x036ebc743fe21b40ull);
+  golden.emplace_back(shape(300, 3000, 10.0), 0xca4353e5545ebcdaull);
+  golden.emplace_back(shape(1, 1, 10.0), 0xd70150abe3b54abaull);
+  WorkloadConfig flat = shape(300, 3000, 10.0);
+  flat.alpha = 0.0;
+  golden.emplace_back(flat, 0x87ac6c1a2cbe4bf7ull);
+  WorkloadConfig no_floor = shape(300, 3000, 10.0);
+  no_floor.min_one_instance = false;
+  golden.emplace_back(no_floor, 0x3d6c232e91b7b256ull);
+  golden.emplace_back(shape(300, 3000, 0.5), 0x442e92cd6d48af7aull);
+  golden.emplace_back(shape(50000, 100000, 10.0), 0x9725f38275143b04ull);
+  golden.emplace_back(shape(8, 1000, 5000.0), 0x5b6325b9e92a4bbfull);
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const std::uint64_t got = fingerprint(golden[i].first);
+    EXPECT_EQ(got, golden[i].second)
+        << "config " << i << ": got 0x" << std::hex << got;
+  }
 }
 
 class WorkloadParamTest
