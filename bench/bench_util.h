@@ -19,6 +19,7 @@
 // beyond).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -58,6 +59,24 @@ struct Params {
   std::uint32_t threads = 1;
 };
 
+/// Runs `build` and, with `ctx` attached, adds its wall time to the
+/// `time_us/<name>` counter, so set-up shows in the report's timings. A
+/// counter only: no trace span, so trace and series output are as without
+/// it.
+template <typename Build>
+auto timed_setup(obs::Context* ctx, const char* name, Build build) {
+  const auto start = std::chrono::steady_clock::now();
+  auto built = build();
+  if (ctx != nullptr) {
+    ctx->registry.counter(std::string("time_us/") + name)
+        .add(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count()));
+  }
+  return built;
+}
+
 /// Workload + overlay + hierarchy, built once and shared across a sweep.
 /// The meter is a member (reset per run) so a caller can inspect the traffic
 /// breakdown of the most recent run; pass an obs::Context to thread
@@ -65,7 +84,7 @@ struct Params {
 struct Env {
   explicit Env(const Params& p, obs::Context* obs_ctx = nullptr)
       : params(p),
-        workload([&] {
+        workload(timed_setup(obs_ctx, "setup.generate", [&] {
           wl::WorkloadConfig cfg;
           cfg.num_peers = p.num_peers;
           cfg.num_items = p.num_items;
@@ -73,12 +92,14 @@ struct Env {
           cfg.alpha = p.alpha;
           cfg.seed = p.seed;
           return wl::Workload::generate(cfg);
-        }()),
-        overlay([&] {
+        })),
+        overlay(timed_setup(obs_ctx, "setup.topology", [&] {
           Rng rng(p.seed + 1);
           return net::Overlay(net::random_tree(p.num_peers, p.fanout, rng));
-        }()),
-        hierarchy(agg::build_bfs_hierarchy(overlay, PeerId(0))),
+        })),
+        hierarchy(timed_setup(obs_ctx, "setup.hierarchy", [&] {
+          return agg::build_bfs_hierarchy(overlay, PeerId(0));
+        })),
         meter(p.num_peers),
         obs(obs_ctx) {}
 

@@ -216,15 +216,24 @@ void BM_MergePairsFrom(benchmark::State& state) {
 }
 BENCHMARK(BM_MergePairsFrom)->Arg(100000)->Arg(1000000);
 
+// Args: (N, n, instances per item). The perfbench scale, unpruned and
+// multiquery shapes with N and n cut 10x, so each peer draws as many
+// instances as at full size.
 void BM_WorkloadGenerate(benchmark::State& state) {
+  wl::WorkloadConfig wc;
+  wc.num_peers = static_cast<std::uint32_t>(state.range(0));
+  wc.num_items = static_cast<std::uint64_t>(state.range(1));
+  wc.instances_per_item = static_cast<double>(state.range(2));
   for (auto _ : state) {
-    wl::WorkloadConfig wc;
-    wc.num_peers = 100;
-    wc.num_items = static_cast<std::uint64_t>(state.range(0));
     benchmark::DoNotOptimize(wl::Workload::generate(wc));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(1) * state.range(2));
 }
-BENCHMARK(BM_WorkloadGenerate)->Arg(10000)->Arg(100000)
+BENCHMARK(BM_WorkloadGenerate)
+    ->Args({10000, 10000, 100})
+    ->Args({100, 100000, 10})
+    ->Args({1000, 10000, 100})
     ->Unit(benchmark::kMillisecond);
 
 // --- per-peer state fixtures: PeerArena vs the node-based maps it replaced.

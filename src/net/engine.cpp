@@ -1,6 +1,7 @@
 #include "net/engine.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -42,12 +43,18 @@ void Context::push_send(PeerId to, TrafficCategory category,
                         std::uint64_t bytes, std::any payload, PayloadRef flat,
                         SessionId session, PhaseId phase,
                         std::span<const obs::LineageId> parents) {
-  KeyedSend ks{major_,
-               next_minor_++,
-               /*is_ack=*/0,
-               /*ack_msg_id=*/0,
-               Envelope{self_, to, category, bytes, std::move(payload), flat,
-                        session, phase}};
+  KeyedSend ks{.major = major_,
+               .minor = next_minor_++,
+               .is_ack = 0,
+               .ack_msg_id = 0,
+               .envelope = Envelope{.from = self_,
+                                    .to = to,
+                                    .category = category,
+                                    .bytes = bytes,
+                                    .payload = std::move(payload),
+                                    .flat = flat,
+                                    .session = session,
+                                    .phase = phase}};
   // First nonzero parent becomes the primary; the rest go to the sampled
   // extra-edge store. Zero ids (round-originated causes) are skipped so
   // callers can push causes unconditionally.
@@ -259,7 +266,7 @@ void Engine::ack_received(PeerId original_sender, std::uint64_t msg_id) {
   auto& list = pending_by_sender_[original_sender.value()];
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (list[i].message.msg_id == msg_id) {
-      list.erase(list.begin() + i);
+      list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
       --pending_count_;
       return;
     }
@@ -298,9 +305,14 @@ void Engine::predispatch(std::vector<Outgoing>& inbox, const ShardPlan& plan) {
       // lossy; it finalizes at this round's barrier with key (i, 0), ahead
       // of anything the handler of message i sends.
       engine_sends_.push_back(Context::KeyedSend{
-          static_cast<std::uint64_t>(i), 0, /*is_ack=*/1, out.msg_id,
-          Envelope{out.envelope.to, out.envelope.from,
-                   TrafficCategory::kControl, fault_.ack_bytes, {}}});
+          .major = static_cast<std::uint64_t>(i),
+          .minor = 0,
+          .is_ack = 1,
+          .ack_msg_id = out.msg_id,
+          .envelope = Envelope{.from = out.envelope.to,
+                               .to = out.envelope.from,
+                               .category = TrafficCategory::kControl,
+                               .bytes = fault_.ack_bytes}});
       // Exactly-once delivery: retransmitted duplicates stop here.
       auto& seen = seen_by_receiver_[out.envelope.to.value()];
       const auto it = std::lower_bound(seen.begin(), seen.end(), out.msg_id);
@@ -553,7 +565,9 @@ void Engine::merge_and_finalize() {
       // NF_STEADY_NOALLOC gates) never enters this branch.
       // nf-lint: nf-cap-noalloc-ok
       plist.push_back(
-          Pending{out, round_ + fault_.retransmit_after, /*attempts=*/1});
+          Pending{.message = out,
+                  .next_retry = round_ + fault_.retransmit_after,
+                  .attempts = 1});
       plist.back().flat_bytes.assign(flat_bytes.begin(), flat_bytes.end());
       ++pending_count_;
     }
@@ -576,7 +590,7 @@ void Engine::scan_retransmissions() {
       if (p.attempts > fault_.max_retries) {
         ++given_up_;
         --pending_count_;
-        list.erase(list.begin() + i);
+        list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
       ++p.attempts;

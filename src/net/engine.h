@@ -163,7 +163,7 @@ class Context {
     /// the merge barrier, in canonical order.
     obs::LineageId parent = obs::kNoLineage;
     /// Parents beyond the first (multi-parent merges); usually empty.
-    std::vector<obs::LineageId> extra_parents;
+    std::vector<obs::LineageId> extra_parents{};
   };
 
   Context(Engine& engine, PeerId self, std::vector<KeyedSend>* outbox,
@@ -359,7 +359,7 @@ class Engine {
     std::uint32_t attempts;
     /// Owning copy of the flat payload span (slab refs don't outlive their
     /// round); retransmissions copy it into a fresh ring-slot ref.
-    std::vector<std::uint8_t> flat_bytes;
+    std::vector<std::uint8_t> flat_bytes{};
   };
 
   /// A delivery routed to a shard: `index` is the message's position in

@@ -41,11 +41,11 @@ struct Envelope {
   PeerId to;
   TrafficCategory category{TrafficCategory::kControl};
   std::uint64_t bytes{0};
-  std::any payload;
+  std::any payload{};
   /// Flat slab-backed payload (kNoSlab when the message has none). The
   /// engine rewrites this ref at the merge barrier when it copies the span
   /// into the destination transit-ring slot's slab.
-  PayloadRef flat;
+  PayloadRef flat{};
   SessionId session{kNoSession};
   PhaseId phase{0};
   /// Happened-before node id, stamped by the engine at admission in

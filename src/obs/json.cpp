@@ -157,10 +157,10 @@ void Json::dump_impl(std::ostream& os, int indent, int depth) const {
       return;
     }
     os << '[';
-    for (std::size_t i = 0; i < a->size(); ++i) {
-      if (i != 0) os << ',';
+    for (std::size_t k = 0; k < a->size(); ++k) {
+      if (k != 0) os << ',';
       newline_indent(os, indent, depth + 1);
-      (*a)[i].dump_impl(os, indent, depth + 1);
+      (*a)[k].dump_impl(os, indent, depth + 1);
     }
     newline_indent(os, indent, depth);
     os << ']';

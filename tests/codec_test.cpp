@@ -260,7 +260,9 @@ TEST(MergePairsFromTest, CoversTheFastPathBoundaries) {
     expect_merge_matches(random_edge_map(rng, rng.below(8)), run);
   }
   for (std::size_t len = 1; len <= 40; ++len) {
-    if (len != 2) EXPECT_TRUE(seen[len]) << len;
+    if (len != 2) {
+      EXPECT_TRUE(seen[len]) << len;
+    }
   }
 }
 
