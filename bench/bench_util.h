@@ -59,14 +59,14 @@ struct Params {
   std::uint32_t threads = 1;
 };
 
-/// Runs `build` and, with `ctx` attached, adds its wall time to the
-/// `time_us/<name>` counter, so set-up shows in the report's timings. A
-/// counter only: no trace span, so trace and series output are as without
-/// it.
-template <typename Build>
-auto timed_setup(obs::Context* ctx, const char* name, Build build) {
+/// Runs `layer` and, with `ctx` attached, adds its wall time to the
+/// `time_us/<name>` counter, so set-up and the naive baseline show in the
+/// report's timings. A counter only: no trace span, so trace and series
+/// output are as without it.
+template <typename Layer>
+auto timed_layer(obs::Context* ctx, const char* name, Layer layer) {
   const auto start = std::chrono::steady_clock::now();
-  auto built = build();
+  auto result = layer();
   if (ctx != nullptr) {
     ctx->registry.counter(std::string("time_us/") + name)
         .add(static_cast<std::uint64_t>(
@@ -74,7 +74,7 @@ auto timed_setup(obs::Context* ctx, const char* name, Build build) {
                 std::chrono::steady_clock::now() - start)
                 .count()));
   }
-  return built;
+  return result;
 }
 
 /// Workload + overlay + hierarchy, built once and shared across a sweep.
@@ -84,7 +84,7 @@ auto timed_setup(obs::Context* ctx, const char* name, Build build) {
 struct Env {
   explicit Env(const Params& p, obs::Context* obs_ctx = nullptr)
       : params(p),
-        workload(timed_setup(obs_ctx, "setup.generate", [&] {
+        workload(timed_layer(obs_ctx, "setup.generate", [&] {
           wl::WorkloadConfig cfg;
           cfg.num_peers = p.num_peers;
           cfg.num_items = p.num_items;
@@ -93,11 +93,11 @@ struct Env {
           cfg.seed = p.seed;
           return wl::Workload::generate(cfg);
         })),
-        overlay(timed_setup(obs_ctx, "setup.topology", [&] {
+        overlay(timed_layer(obs_ctx, "setup.topology", [&] {
           Rng rng(p.seed + 1);
           return net::Overlay(net::random_tree(p.num_peers, p.fanout, rng));
         })),
-        hierarchy(timed_setup(obs_ctx, "setup.hierarchy", [&] {
+        hierarchy(timed_layer(obs_ctx, "setup.hierarchy", [&] {
           return agg::build_bfs_hierarchy(overlay, PeerId(0));
         })),
         meter(p.num_peers),
@@ -147,10 +147,12 @@ struct Env {
     }
   }
 
-  /// The classic three-run orchestration (global barriers between phases),
-  /// kept as the A/B baseline for the pipelined session runtime. Runs on a
-  /// scratch meter without obs so it never disturbs the report of the
-  /// pipelined run it is compared against; only the round counts differ.
+  /// The barriered schedule (filter_candidates, a global barrier, then
+  /// verify_candidates), kept as the A/B baseline for NetFilter::run's
+  /// pipelined session. Every peer is a hierarchy member here, so run's
+  /// host report would add nothing. Runs on a scratch meter without obs
+  /// so it never disturbs the report of the pipelined run it is compared
+  /// against; only the round counts differ.
   [[nodiscard]] core::NetFilterStats run_netfilter_barriered(
       std::uint32_t g, std::uint32_t f) {
     net::TrafficMeter scratch(params.num_peers);
@@ -158,15 +160,23 @@ struct Env {
     cfg.num_groups = g;
     cfg.num_filters = f;
     cfg.threads = params.threads;
-    cfg.barriered = true;
     const core::NetFilter nf(cfg);
-    return nf.run(workload, hierarchy, overlay, scratch, threshold()).stats;
+    core::NetFilterStats stats;
+    const core::HeavyGroupSet heavy = nf.filter_candidates(
+        workload, hierarchy, overlay, scratch, threshold(), &stats);
+    return nf
+        .verify_candidates(workload, hierarchy, overlay, scratch, threshold(),
+                           heavy, stats)
+        .stats;
   }
 
   [[nodiscard]] core::NaiveResult run_naive() {
     meter.reset();
     const core::NaiveCollector naive{WireSizes{}};
-    return naive.run(workload, hierarchy, overlay, meter, threshold());
+    const Value t = threshold();
+    return timed_layer(obs, "baseline.naive", [&] {
+      return naive.run(workload, hierarchy, overlay, meter, t);
+    });
   }
 
   Params params;

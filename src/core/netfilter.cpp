@@ -21,7 +21,33 @@ double per_peer(std::uint64_t bytes, std::uint32_t num_peers) {
   return static_cast<double>(bytes) / static_cast<double>(num_peers);
 }
 
+using CategoryBytes = net::TrafficMeter::CategoryArray;
+
+/// Bytes charged per category since `before`, a meter.totals() snapshot.
+CategoryBytes charged_since(const net::TrafficMeter& meter,
+                            const CategoryBytes& before) {
+  CategoryBytes out = meter.totals();
+  for (std::size_t c = 0; c < out.size(); ++c) out[c] -= before[c];
+  return out;
+}
+
 }  // namespace
+
+void NetFilterStats::add_phase_costs(const CategoryBytes& bytes,
+                                     std::uint32_t num_peers,
+                                     std::uint64_t pair_bytes) {
+  const auto of = [&bytes](net::TrafficCategory c) {
+    return bytes[static_cast<std::size_t>(c)];
+  };
+  const std::uint64_t aggregation = of(net::TrafficCategory::kAggregation);
+  filtering_cost += per_peer(of(net::TrafficCategory::kFiltering), num_peers);
+  dissemination_cost +=
+      per_peer(of(net::TrafficCategory::kDissemination), num_peers);
+  aggregation_cost += per_peer(aggregation, num_peers);
+  candidates_per_peer += static_cast<double>(aggregation) /
+                         static_cast<double>(pair_bytes) /
+                         static_cast<double>(num_peers);
+}
 
 // Predicted per-peer phase costs from the analytic model vs what the
 // TrafficMeter (or a session tally) actually charged; varint or lossy runs
@@ -34,8 +60,7 @@ double per_peer(std::uint64_t bytes, std::uint32_t num_peers) {
 // so it and the lumped F1 total are advisory.
 void record_netfilter_conformance(const NetFilterConfig& config,
                                   const NetFilterStats& s,
-                                  std::uint32_t num_peers,
-                                  const agg::Hierarchy* hierarchy) {
+                                  std::uint32_t num_peers) {
   obs::Context* obs = config.obs;
   if (obs == nullptr) return;
   if (config.wire_model != WireModel::kFlatFields) return;
@@ -79,52 +104,6 @@ void record_netfilter_conformance(const NetFilterConfig& config,
                                               fp) *
                        non_root,
                    s.total_cost(), /*gated=*/false);
-
-  // Advisory round-count checks (the queueing cost model): each phase is a
-  // depth-D wave whose front needs transfer_rounds(message, capacity)
-  // rounds per level, gated by the narrowest link of that level. Only the
-  // barriered orchestration pays the phases back to back, so only there is
-  // the per-phase wave model the right predictor; the aggregation message
-  // uses the paper's upper bound, so these stay advisory like F1.total.
-  if (hierarchy != nullptr && config.barriered) {
-    const std::uint32_t height = hierarchy->height();
-    const double depth = height > 0 ? height - 1.0 : 0.0;
-    // Per-level bottleneck: min capacity among the level-d parent links.
-    std::vector<double> min_cap(
-        height, static_cast<double>(net::kInfiniteCapacity));
-    for (std::uint32_t p = 0; p < num_peers; ++p) {
-      const PeerId id(p);
-      if (!hierarchy->is_member(id) || id == hierarchy->root()) continue;
-      const std::uint32_t d = hierarchy->depth(id);
-      const auto cap = static_cast<double>(
-          config.link.capacity(id, hierarchy->upstream(id)));
-      if (cap < min_cap[d]) min_cap[d] = cap;
-    }
-    const auto wave = [&](double message_bytes) {
-      // Σ_d transfer_rounds at the level bottleneck, plus the quiescence
-      // round — phase_rounds specialized to heterogeneous levels.
-      double rounds = 1.0;
-      for (std::uint32_t d = 1; d < height; ++d) {
-        rounds += cost_model::transfer_rounds(message_bytes, min_cap[d]);
-      }
-      return rounds;
-    };
-    const double filt_rounds =
-        wave(config.wire.aggregate_bytes * f * g);
-    const double veri_rounds =
-        wave(config.wire.group_id_bytes * w_total) +
-        wave(static_cast<double>(config.wire.item_value_pair()) * (r + fp));
-    report.set_param("tree_depth", depth);
-    report.add_check("rounds.filtering", filt_rounds,
-                     static_cast<double>(s.rounds_filtering),
-                     /*gated=*/false);
-    report.add_check("rounds.verification", veri_rounds,
-                     static_cast<double>(s.rounds_verification),
-                     /*gated=*/false);
-    report.add_check("rounds.total", filt_rounds + veri_rounds,
-                     static_cast<double>(s.rounds_total),
-                     /*gated=*/false);
-  }
 
   // Per-level split of the two exact terms, accumulated into the link_stats
   // predictions (schema v6): each member at depth d pushes one sa·f·g
@@ -274,7 +253,7 @@ HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
                                            NetFilterStats* stats) const {
   require(threshold >= 1, "threshold must be >= 1");
   obs::ScopedPhase phase(config_.obs, "filtering");
-  const std::uint64_t before = meter.total(net::TrafficCategory::kFiltering);
+  const CategoryBytes before = meter.totals();
 
   agg::FlatAggregateConvergecastPhase cast(
       hierarchy, net::TrafficCategory::kFiltering,
@@ -297,9 +276,8 @@ HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
     stats->threshold = threshold;
     stats->heavy_groups_total = heavy.total();
     stats->rounds_filtering = rounds;
-    stats->filtering_cost =
-        per_peer(meter.total(net::TrafficCategory::kFiltering) - before,
-                 overlay.num_peers());
+    stats->add_phase_costs(charged_since(meter, before), overlay.num_peers(),
+                           config_.wire.item_value_pair());
   }
   obs::add_counter(config_.obs, "netfilter/heavy_groups", heavy.total());
   return heavy;
@@ -309,10 +287,7 @@ NetFilterResult NetFilter::verify_candidates(
     const ItemSource& items, const agg::Hierarchy& hierarchy,
     net::Overlay& overlay, net::TrafficMeter& meter, Value threshold,
     const HeavyGroupSet& heavy, NetFilterStats stats) const {
-  const std::uint64_t dissemination_before =
-      meter.total(net::TrafficCategory::kDissemination);
-  const std::uint64_t aggregation_before =
-      meter.total(net::TrafficCategory::kAggregation);
+  const CategoryBytes before = meter.totals();
 
   // Phase 2a: the root propagates the heavy group identifiers downwards
   // (Algorithm 2, line 1). The wire always carries the delta-coded id list.
@@ -378,84 +353,13 @@ NetFilterResult NetFilter::verify_candidates(
   stats.num_frequent = result.frequent.size();
   stats.num_false_positives = stats.num_candidates - stats.num_frequent;
   stats.rounds_verification = down_rounds + up_rounds;
+  stats.rounds_total = stats.rounds_filtering + stats.rounds_verification;
   obs::add_counter(config_.obs, "netfilter/candidates", stats.num_candidates);
   obs::add_counter(config_.obs, "netfilter/frequent", stats.num_frequent);
-
-  const std::uint64_t aggregation_bytes =
-      meter.total(net::TrafficCategory::kAggregation) - aggregation_before;
-  stats.dissemination_cost = per_peer(
-      meter.total(net::TrafficCategory::kDissemination) - dissemination_before,
-      overlay.num_peers());
-  stats.aggregation_cost = per_peer(aggregation_bytes, overlay.num_peers());
-  stats.candidates_per_peer =
-      static_cast<double>(aggregation_bytes) /
-      static_cast<double>(config_.wire.item_value_pair()) /
-      static_cast<double>(overlay.num_peers());
+  stats.add_phase_costs(charged_since(meter, before), overlay.num_peers(),
+                        config_.wire.item_value_pair());
 
   result.stats = stats;
-  return result;
-}
-
-NetFilterResult NetFilter::run_barriered(const ItemSource& items,
-                                         const agg::Hierarchy& hierarchy,
-                                         net::Overlay& overlay,
-                                         net::TrafficMeter& meter,
-                                         Value threshold) const {
-  NetFilterStats stats;
-  const HeavyGroupSet heavy = filter_candidates(items, hierarchy, overlay,
-                                                meter, threshold, &stats);
-  NetFilterResult result = verify_candidates(items, hierarchy, overlay, meter,
-                                             threshold, heavy, stats);
-  result.stats.rounds_total =
-      result.stats.rounds_filtering + result.stats.rounds_verification;
-  return result;
-}
-
-NetFilterResult NetFilter::run_pipelined(const ItemSource& items,
-                                         const agg::Hierarchy& hierarchy,
-                                         net::Overlay& overlay,
-                                         net::TrafficMeter& meter,
-                                         Value threshold) const {
-  require(threshold >= 1, "threshold must be >= 1");
-  const std::uint32_t n = overlay.num_peers();
-  const std::uint64_t filtering_before =
-      meter.total(net::TrafficCategory::kFiltering);
-  const std::uint64_t dissemination_before =
-      meter.total(net::TrafficCategory::kDissemination);
-  const std::uint64_t aggregation_before =
-      meter.total(net::TrafficCategory::kAggregation);
-
-  net::SessionMux mux(config_.obs);
-  // Unnamed single session: phase spans keep the classic bare names
-  // ("filtering", ...), so trace consumers see the same span set as the
-  // barriered path.
-  const net::SessionId sid = mux.add_session();
-  IfiSessionPhases ifi(*this, items, hierarchy, threshold);
-  (void)ifi.register_phases(mux, sid, net::PhaseStart::kAllPeers);
-
-  net::Engine engine(overlay, meter);
-  configure_engine(engine, config_);
-  const std::uint64_t rounds_total =
-      engine.run(mux, config_.max_rounds_per_phase);
-  ensure(ifi.complete(), "pipelined netfilter did not complete");
-
-  NetFilterResult result = ifi.take_result();
-  NetFilterStats& s = result.stats;
-  s.rounds_total = rounds_total;
-  s.rounds_filtering = ifi.filtering_rounds();
-  s.rounds_verification = rounds_total - s.rounds_filtering;
-  const std::uint64_t aggregation_bytes =
-      meter.total(net::TrafficCategory::kAggregation) - aggregation_before;
-  s.filtering_cost = per_peer(
-      meter.total(net::TrafficCategory::kFiltering) - filtering_before, n);
-  s.dissemination_cost = per_peer(
-      meter.total(net::TrafficCategory::kDissemination) - dissemination_before,
-      n);
-  s.aggregation_cost = per_peer(aggregation_bytes, n);
-  s.candidates_per_peer =
-      static_cast<double>(aggregation_bytes) /
-      static_cast<double>(config_.wire.item_value_pair()) /
-      static_cast<double>(n);
   return result;
 }
 
@@ -465,6 +369,7 @@ NetFilterResult NetFilter::run(const ItemSource& items,
                                Value threshold) const {
   require(items.num_peers() == overlay.num_peers(),
           "item source and overlay disagree on peer count");
+  require(threshold >= 1, "threshold must be >= 1");
   obs::ScopedPhase whole(config_.obs, "netfilter");
   // Install the level geometry for the topology telemetry plane before any
   // engine runs: every envelope the phases below admit is charged per level
@@ -504,23 +409,37 @@ NetFilterResult NetFilter::run(const ItemSource& items,
       }
     }
   }
-  const std::uint64_t host_before =
-      meter.total(net::TrafficCategory::kHostReport);
+  const CategoryBytes before = meter.totals();
   const EffectiveItems effective = [&] {
     obs::ScopedPhase phase(config_.obs, "host-report");
     return EffectiveItems(items, hierarchy, overlay, config_.wire, &meter);
   }();
-  const double host_report_cost =
-      per_peer(meter.total(net::TrafficCategory::kHostReport) - host_before,
-               overlay.num_peers());
 
-  NetFilterResult result =
-      config_.barriered
-          ? run_barriered(effective, hierarchy, overlay, meter, threshold)
-          : run_pipelined(effective, hierarchy, overlay, meter, threshold);
-  result.stats.host_report_cost = host_report_cost;
-  record_netfilter_conformance(config_, result.stats, overlay.num_peers(),
-                               &hierarchy);
+  net::SessionMux mux(config_.obs);
+  // Unnamed single session: phase spans keep the bare names ("filtering",
+  // ...), the same span set as the phase API's.
+  const net::SessionId sid = mux.add_session();
+  IfiSessionPhases ifi(*this, effective, hierarchy, threshold);
+  (void)ifi.register_phases(mux, sid, net::PhaseStart::kAllPeers);
+
+  net::Engine engine(overlay, meter);
+  configure_engine(engine, config_);
+  const std::uint64_t rounds_total =
+      engine.run(mux, config_.max_rounds_per_phase);
+  ensure(ifi.complete(), "pipelined netfilter did not complete");
+
+  NetFilterResult result = ifi.take_result();
+  NetFilterStats& s = result.stats;
+  s.rounds_total = rounds_total;
+  s.rounds_filtering = ifi.filtering_rounds();
+  s.rounds_verification = rounds_total - s.rounds_filtering;
+  const CategoryBytes charged = charged_since(meter, before);
+  s.add_phase_costs(charged, overlay.num_peers(),
+                    config_.wire.item_value_pair());
+  s.host_report_cost = per_peer(
+      charged[static_cast<std::size_t>(net::TrafficCategory::kHostReport)],
+      overlay.num_peers());
+  record_netfilter_conformance(config_, s, overlay.num_peers());
   return result;
 }
 

@@ -25,6 +25,7 @@
 #include "core/config.h"
 #include "net/codec.h"
 #include "net/engine.h"
+#include "net/metrics.h"
 
 namespace nf::core {
 
@@ -48,12 +49,13 @@ struct NetFilterStats {
   double candidates_per_peer = 0.0;        ///< avg <id,value> pairs sent/peer
   std::uint64_t rounds_filtering = 0;
   std::uint64_t rounds_verification = 0;
-  /// Engine rounds for the whole query. Barriered orchestration pays the
-  /// phases back to back (filtering + verification); the pipelined session
-  /// overlaps them, so rounds_total is strictly smaller there — the win the
-  /// fig5 bench reports. In pipelined runs rounds_filtering counts until
-  /// the root completed filtering and rounds_verification is the remainder
-  /// (phase 2 already ran at the leaves during it).
+  /// Engine rounds for the whole query. NetFilter::run overlaps the
+  /// phases in one session: rounds_filtering counts until the root
+  /// completed filtering and rounds_verification is the remainder (phase 2
+  /// already ran at the leaves during it). The phase API
+  /// (filter_candidates, then verify_candidates) pays them back to back,
+  /// so there rounds_total = rounds_filtering + rounds_verification, which
+  /// is strictly more — the win the fig5 bench reports.
   std::uint64_t rounds_total = 0;
 
   // Per-peer average communication cost in bytes (the paper's metric),
@@ -67,6 +69,14 @@ struct NetFilterStats {
   [[nodiscard]] double total_cost() const {
     return filtering_cost + dissemination_cost + aggregation_cost;
   }
+
+  /// Adds the per-peer filtering, dissemination and aggregation costs and
+  /// candidates_per_peer for `bytes`, the bytes charged per traffic
+  /// category (indexed by net::TrafficCategory), over `num_peers` peers;
+  /// `pair_bytes` is one <id, value> pair. Adding lets the phase API charge
+  /// each phase as it ends.
+  void add_phase_costs(const net::TrafficMeter::CategoryArray& bytes,
+                       std::uint32_t num_peers, std::uint64_t pair_bytes);
 };
 
 struct NetFilterResult {
@@ -81,15 +91,20 @@ class NetFilter {
 
   /// Runs both phases over `hierarchy` and returns the exact frequent-item
   /// set. `items` must cover every peer of the overlay; traffic is charged
-  /// to `meter`. `threshold` must be >= 1.
+  /// to `meter`. `threshold` must be >= 1. Non-members' items first reach
+  /// the hierarchy through the host report; the two phases then run as one
+  /// session on one engine run, where a peer enters phase 2 the moment the
+  /// heavy multicast reaches it (core/ifi_session.h).
   [[nodiscard]] NetFilterResult run(const ItemSource& items,
                                     const agg::Hierarchy& hierarchy,
                                     net::Overlay& overlay,
                                     net::TrafficMeter& meter,
                                     Value threshold) const;
 
-  /// Phase 1 only (exposed for tests and extensions): returns the heavy
-  /// group bitmap and fills the filtering stats fields.
+  /// Phase 1 only: returns the heavy group bitmap and fills the filtering
+  /// stats fields. Followed by verify_candidates it is the barriered
+  /// schedule: the phases back to back, with a global barrier between
+  /// them. Unlike run, it reads `items` as given (no host report).
   [[nodiscard]] HeavyGroupSet filter_candidates(const ItemSource& items,
                                                 const agg::Hierarchy& hierarchy,
                                                 net::Overlay& overlay,
@@ -98,7 +113,8 @@ class NetFilter {
                                                 NetFilterStats* stats) const;
 
   /// Phase 2 only: candidate materialization + verification given the
-  /// heavy group bitmap.
+  /// heavy group bitmap. Completes `stats` (from filter_candidates),
+  /// including rounds_total.
   [[nodiscard]] NetFilterResult verify_candidates(
       const ItemSource& items, const agg::Hierarchy& hierarchy,
       net::Overlay& overlay, net::TrafficMeter& meter, Value threshold,
@@ -122,7 +138,7 @@ class NetFilter {
   [[nodiscard]] LocalItems materialize_candidates(
       const LocalItems& items, const HeavyGroupSet& heavy) const;
 
-  // The charging policy, shared by the barriered and pipelined drivers:
+  // The charging policy, shared by run and the phase API:
   // kFlatFields charges the paper's flat field sizes (§IV-A), kVarintDelta
   // the encoded wire length. Both ship the same encoded bytes.
 
@@ -152,24 +168,6 @@ class NetFilter {
   [[nodiscard]] const NetFilterConfig& config() const { return config_; }
 
  private:
-  /// The classic orchestration: three engine runs with global barriers
-  /// between the phases (config.barriered). `items` is the effective
-  /// (host-report-folded) source.
-  [[nodiscard]] NetFilterResult run_barriered(const ItemSource& items,
-                                              const agg::Hierarchy& hierarchy,
-                                              net::Overlay& overlay,
-                                              net::TrafficMeter& meter,
-                                              Value threshold) const;
-
-  /// One session on one engine run (the default): a peer enters phase 2 the
-  /// moment the heavy multicast reaches it — identical result, strictly
-  /// fewer engine rounds (see core/ifi_session.h).
-  [[nodiscard]] NetFilterResult run_pipelined(const ItemSource& items,
-                                              const agg::Hierarchy& hierarchy,
-                                              net::Overlay& overlay,
-                                              net::TrafficMeter& meter,
-                                              Value threshold) const;
-
   NetFilterConfig config_;
   FilterBank bank_;
 };
@@ -188,16 +186,8 @@ class NetFilter {
 /// `stats`. Only configurations the closed-form model prices are judged —
 /// flat wire fields on a loss-free network. Public so QueryService can
 /// record one run per multiplexed session from per-session traffic tallies.
-///
-/// When `hierarchy` is given and the run was barriered, the report also
-/// carries advisory `rounds.*` checks: predicted round counts from the
-/// queueing cost model (cost_model::phase_rounds over the per-level
-/// bottleneck link capacities of config.link) vs the measured
-/// rounds_filtering / rounds_verification / rounds_total. Pipelined runs
-/// overlap phases, so the per-phase wave model does not apply there.
 void record_netfilter_conformance(const NetFilterConfig& config,
                                   const NetFilterStats& stats,
-                                  std::uint32_t num_peers,
-                                  const agg::Hierarchy* hierarchy = nullptr);
+                                  std::uint32_t num_peers);
 
 }  // namespace nf::core

@@ -170,21 +170,8 @@ std::vector<FrequentItemsResponse> QueryService::serve_concurrent(
       // Per-session completion round (the round of the gating delivery, as
       // the lineage critical path reports it), not the shared run length.
       ss.netfilter.rounds_total = mux.done_round(q->sid);
-      const auto category_cost = [&](net::TrafficCategory c) {
-        return static_cast<double>(
-                   ss.traffic.bytes[static_cast<std::size_t>(c)]) /
-               n;
-      };
-      ss.netfilter.filtering_cost =
-          category_cost(net::TrafficCategory::kFiltering);
-      ss.netfilter.dissemination_cost =
-          category_cost(net::TrafficCategory::kDissemination);
-      ss.netfilter.aggregation_cost =
-          category_cost(net::TrafficCategory::kAggregation);
-      ss.netfilter.candidates_per_peer =
-          static_cast<double>(ss.traffic.bytes[static_cast<std::size_t>(
-              net::TrafficCategory::kAggregation)]) /
-          static_cast<double>(q->config.wire.item_value_pair()) / n;
+      ss.netfilter.add_phase_costs(ss.traffic.bytes, overlay.num_peers(),
+                                   q->config.wire.item_value_pair());
       record_netfilter_conformance(q->config, ss.netfilter,
                                    overlay.num_peers());
       stats->sessions.push_back(std::move(ss));

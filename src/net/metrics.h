@@ -66,6 +66,10 @@ class TrafficMeter {
   /// Total bytes sent across all peers, all categories.
   [[nodiscard]] std::uint64_t total() const;
 
+  /// Total bytes sent across all peers per category (indexed by
+  /// TrafficCategory).
+  [[nodiscard]] const CategoryArray& totals() const { return totals_; }
+
   /// The paper's metric: average bytes propagated per peer, one category.
   [[nodiscard]] double per_peer(TrafficCategory category) const;
 

@@ -449,8 +449,10 @@ TEST(DeterminismTest, InfiniteCapacityLinkModelIsInvisible) {
 }
 
 // The pipelined session runtime must be a pure orchestration change: byte
-// for byte the same answer and phase costs as the barriered three-run
-// netFilter, in strictly fewer engine rounds — serial and sharded alike.
+// for byte the same answer and phase costs as the barriered schedule (the
+// phase API: filter_candidates, a global barrier, verify_candidates), in
+// strictly fewer engine rounds — serial and sharded alike. Every peer is a
+// hierarchy member, so run's host report adds nothing to compare against.
 TEST(DeterminismTest, PipelinedNetFilterMatchesBarrieredInFewerRounds) {
   const TestWorld world = TestWorld::make();
   const Value t = world.workload.threshold_for(0.01);
@@ -460,16 +462,27 @@ TEST(DeterminismTest, PipelinedNetFilterMatchesBarrieredInFewerRounds) {
     cfg.num_groups = 40;
     cfg.num_filters = 2;
     cfg.threads = threads;
-    cfg.barriered = barriered;
     const core::NetFilter nf(cfg);
     TrafficMeter meter(kPeers);
     Overlay overlay = world.overlay;
-    core::NetFilterResult r =
-        nf.run(world.workload, world.hierarchy, overlay, meter, t);
+    core::NetFilterResult r;
+    if (barriered) {
+      core::NetFilterStats stats;
+      const core::HeavyGroupSet heavy = nf.filter_candidates(
+          world.workload, world.hierarchy, overlay, meter, t, &stats);
+      r = nf.verify_candidates(world.workload, world.hierarchy, overlay,
+                               meter, t, heavy, stats);
+    } else {
+      r = nf.run(world.workload, world.hierarchy, overlay, meter, t);
+    }
     return std::make_tuple(std::move(r), meter.total(), meter.num_messages());
   };
 
   const auto [barriered, b_bytes, b_msgs] = run_at(1, true);
+  // The phase API reports the back-to-back total.
+  EXPECT_EQ(barriered.stats.rounds_total,
+            barriered.stats.rounds_filtering +
+                barriered.stats.rounds_verification);
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     const auto [pipelined, p_bytes, p_msgs] = run_at(threads, false);

@@ -362,7 +362,6 @@ TEST_P(NetFilterCandidateMapTest, BarrieredMessagesMatchMaterialization) {
   Rig rig(120, 3000, 1.0, 31);
   const Value t = theta_for(kind, rig.workload);
   NetFilterConfig cfg = config(40, 2);
-  cfg.barriered = true;
   cfg.threads = threads;
   const NetFilter nf(cfg);
   NetFilterStats stats;

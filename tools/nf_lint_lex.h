@@ -1,11 +1,9 @@
-// Shared lexing layer for nf-lint's token-level analyses (nf_lint.h).
+// Shared lexing layer for nf-lint's analyses (nf_lint.h).
 //
-// Extracted from the per-file checks in nf_lint.cpp when the whole-program
-// capability pass (nf_lint_cap.h) arrived: both consume the same
-// sanitized-token view of a source file, and the Clang engine reuses the
-// body scanner for effect sites so the two engines classify allocation
-// constructs identically. Everything here is dependency-free and
-// deterministic: same bytes in, same tokens out.
+// The per-file checks in nf_lint.cpp and the whole-program capability
+// pass (nf_lint_cap.h) consume the same sanitized-token view of a source
+// file. Everything here is dependency-free and deterministic: same bytes
+// in, same tokens out.
 #pragma once
 
 #include <cctype>
