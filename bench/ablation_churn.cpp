@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     // Run until stabilized (checking every 5 rounds), cap at 200.
     std::uint64_t repair_rounds = 0;
     while (repair_rounds < 200) {
-      repair_rounds += engine.run(maint, 5, &churn);
+      repair_rounds += net::run_phase(engine, maint, 5, nullptr, {}, &churn);
       if (maint.stabilized(overlay)) break;
     }
     const bool stable = maint.stabilized(overlay);

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     gc.rounds = rounds;
     gc.seed = cli.seed;
     agg::PushSumGossip gossip(initial, gc);
-    engine.run(gossip, rounds + 2);
+    net::run_phase(engine, gossip, rounds + 2, nullptr);
     std::vector<double> errs;
     for (std::uint32_t p = 0; p < params.num_peers; ++p) {
       for (std::uint32_t i = 0; i < g; ++i) {

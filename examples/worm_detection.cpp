@@ -40,7 +40,7 @@ int main() {
   churn.fail_at(3, PeerId(101));
   std::uint64_t rounds = 0;
   while (rounds < 200 && !maintenance.stabilized(overlay)) {
-    rounds += engine.run(maintenance, 5, &churn);
+    rounds += net::run_phase(engine, maintenance, 5, nullptr, {}, &churn);
   }
   std::cout << "sensors 17, 55, 101 failed; hierarchy repaired after "
             << rounds << " rounds ("

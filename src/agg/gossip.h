@@ -14,23 +14,87 @@
 // network-wide average of the initial vectors; multiplying by the peer
 // count (aggregated the same way via an extra "count" coordinate seeded 1
 // at the root) estimates the global sum.
+//
+// Both push-sums — this dense one and the gossip netFilter's sparse one —
+// are flat phases built on PushSumPhase; run one with net::run_phase.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/capability.h"
 #include "common/ids.h"
 #include "common/rng.h"
-#include "net/engine.h"
+#include "net/session.h"
 #include "obs/context.h"
 
 namespace nf::agg {
 
-/// Shard-safe: each peer's (x, count, w) triple and its private RNG stream
-/// live in dense arenas and are touched only by that peer's callbacks; the
-/// round counter advances in on_round_begin on the engine thread.
-class PushSumGossip final : public net::Protocol {
+/// Draws a uniformly random alive overlay neighbor of `self` from `rng`
+/// without building the neighbor list (one draw, as over
+/// Overlay::alive_neighbors); nullopt, drawing nothing, when none is alive.
+NF_REENTRANT [[nodiscard]] std::optional<PeerId> random_alive_neighbor(
+    const net::Overlay& overlay, PeerId self, Rng& rng);
+
+/// The push-sum round both gossip aggregations share: each peer holds a
+/// count coordinate (1 at `origin`, 0 elsewhere), a weight (1), a private
+/// RNG stream and the causal parents of the shares merged since its last
+/// send. Every round, while its rounds last, a peer halves its state in
+/// place and ships the kept half — after halving, the kept state IS the
+/// share — to a random alive neighbor. Subclasses own the value state and
+/// its encoding. Done once the last round has begun; the tick still sends
+/// in that round, so a run of R rounds stops in round R+1.
+///
+/// Shard-safe: per-peer state lives in dense arenas touched only by that
+/// peer's callbacks; the round counter advances in on_round_begin on the
+/// engine thread.
+class PushSumPhase : public net::FlatPhase {
+ public:
+  void on_run_start(const net::Overlay& overlay) override;
+  void on_round_begin(std::uint64_t round) override;
+  void on_round(net::PhaseContext& ctx) override;
+  [[nodiscard]] bool done() const override { return rounds_done_ >= rounds_; }
+
+  [[nodiscard]] std::uint32_t rounds_done() const { return rounds_done_; }
+
+ protected:
+  PushSumPhase(std::uint32_t num_peers, PeerId origin, std::uint32_t rounds,
+               std::uint64_t seed, obs::Context* obs);
+
+  /// Halves peer p's values in place, encodes them with the (already
+  /// halved) count_[p] and w_[p] into `w`, and returns the modelled bytes.
+  NF_SHARD_CONTEXT virtual std::uint64_t halve_and_encode(
+      PeerId p, net::PayloadWriter& w) = 0;
+
+  /// Adds a received share into peer p's values, count_[p] and w_[p].
+  NF_SHARD_CONTEXT NF_STEADY_NOALLOC virtual void merge(
+      PeerId p, std::span<const std::uint8_t> share) = 0;
+
+  NF_SHARD_CONTEXT NF_STEADY_NOALLOC void on_flat(
+      net::PhaseContext& ctx, std::span<const std::uint8_t> bytes,
+      PeerId from) final;
+
+  std::uint32_t num_peers_;
+  PeerArena<double> count_;  // per-peer "1 at the origin" coordinate
+  PeerArena<double> w_;      // per-peer weight
+
+ private:
+  std::uint32_t rounds_;
+  std::uint32_t rounds_done_ = 0;
+  PeerArena<Rng> rng_;  // per-peer independent randomness
+  // Lineage ids of shares merged since this peer's last send; attached as
+  // causal parents of the next outgoing share.
+  PeerArena<std::vector<obs::LineageId>> pending_parents_;
+  obs::Context* obs_;
+  obs::Counter* obs_shares_ = nullptr;
+  obs::Histogram* obs_share_bytes_ = nullptr;
+};
+
+/// Push-sum over dense value vectors; a share is net::encode_share_to.
+class PushSumGossip final : public PushSumPhase {
  public:
   struct Config {
     /// Bytes per transmitted vector coordinate (the paper's sa).
@@ -49,13 +113,6 @@ class PushSumGossip final : public net::Protocol {
   /// estimates 1/N so `estimate_sum` needs no out-of-band peer count.
   PushSumGossip(std::vector<std::vector<double>> initial, Config config);
 
-  void on_round_begin(std::uint64_t round) override;
-  void on_round(net::Context& ctx) override;
-  void on_message(net::Context& ctx, net::Envelope&& env) override;
-  [[nodiscard]] bool active() const override {
-    return rounds_done_ < config_.rounds;
-  }
-
   /// Peer p's current estimate of the network-wide SUM of coordinate `i`.
   [[nodiscard]] double estimate_sum(PeerId p, std::size_t i) const;
 
@@ -68,27 +125,22 @@ class PushSumGossip final : public net::Protocol {
   /// conservation — the invariant push-sum correctness rests on).
   [[nodiscard]] double total_mass(std::size_t i) const;
 
-  [[nodiscard]] std::uint32_t rounds_done() const { return rounds_done_; }
   [[nodiscard]] std::size_t dimension() const { return dimension_; }
 
+ protected:
+  NF_SHARD_CONTEXT std::uint64_t halve_and_encode(
+      PeerId p, net::PayloadWriter& w) override;
+  NF_SHARD_CONTEXT NF_STEADY_NOALLOC void merge(
+      PeerId p, std::span<const std::uint8_t> share) override;
+
  private:
-  struct Share {
-    std::vector<double> x;
-    double count;
-    double w;
-  };
+  /// Checks `initial` and returns its peer count, before any arena sizing.
+  static std::uint32_t checked_peers(
+      const std::vector<std::vector<double>>& initial);
 
   Config config_;
   std::size_t dimension_;
   PeerArena<std::vector<double>> x_;  // per-peer value vector
-  PeerArena<double> count_;           // per-peer "1 at peer 0" coordinate
-  PeerArena<double> w_;               // per-peer weight
-  PeerArena<Rng> rng_;                // per-peer independent randomness
-  // Lineage ids of shares merged since this peer's last send; attached as
-  // causal parents of the next outgoing share.
-  PeerArena<std::vector<obs::LineageId>> pending_parents_;
-  std::uint32_t rounds_done_{0};
-  std::uint32_t num_peers_{0};
 };
 
 }  // namespace nf::agg

@@ -23,7 +23,7 @@ HierarchyMaintenance::HierarchyMaintenance(const Hierarchy& initial,
   }
 }
 
-void HierarchyMaintenance::on_round(net::Context& ctx) {
+void HierarchyMaintenance::on_round(net::PhaseContext& ctx) {
   const PeerId self = ctx.self();
   PeerState& st = state_[self.value()];
   const auto& neighbors = ctx.neighbors();
@@ -69,78 +69,90 @@ void HierarchyMaintenance::on_round(net::Context& ctx) {
   }
 
   // Periodic heartbeat with the SEQ and DEPTH counters to every overlay
-  // neighbor (a real peer does not know which neighbors are alive).
+  // neighbor (a real peer does not know which neighbors are alive). One
+  // encoding serves every neighbor.
+  net::PayloadWriter w = ctx.flat_payload();
+  net::encode_maintenance_to(
+      w, {net::MaintenanceTag::kHeartbeat, st.seq, st.depth});
+  const net::PayloadRef ref = w.finish();
   for (PeerId q : neighbors) {
-    ctx.send(q, net::TrafficCategory::kControl, config_.heartbeat_bytes,
-             std::any(Heartbeat{st.seq, st.depth}));
+    ctx.send_flat(q, net::TrafficCategory::kControl, config_.heartbeat_bytes,
+                  ref);
   }
 }
 
-void HierarchyMaintenance::on_message(net::Context& ctx,
-                                      net::Envelope&& env) {
+void HierarchyMaintenance::on_flat(net::PhaseContext& ctx,
+                                   std::span<const std::uint8_t> bytes,
+                                   PeerId from) {
   const PeerId self = ctx.self();
   PeerState& st = state_[self.value()];
+  const net::MaintenanceMsg msg = net::decode_maintenance(bytes);
 
-  if (const auto* hb = std::any_cast<Heartbeat>(&env.payload)) {
-    const auto& neighbors = ctx.neighbors();
-    if (st.last_heard.size() != neighbors.size()) {
-      st.last_heard.assign(neighbors.size(), -1);
-    }
-    const auto it = std::find(neighbors.begin(), neighbors.end(), env.from);
-    ensure(it != neighbors.end(), "heartbeat from non-neighbor");
-    const auto idx =
-        static_cast<std::size_t>(std::distance(neighbors.begin(), it));
-    const auto now = static_cast<std::int64_t>(ctx.round());
-    st.last_heard[idx] = now;
-
-    if (self == root_) return;
-
-    if (st.upstream.has_value() && env.from == *st.upstream) {
-      if (hb->depth == kInfiniteDepth) {
-        // Upstream fell out of the hierarchy: so do we (recursively).
-        become_orphan(ctx, st);
-      } else if (hb->seq > st.seq) {
-        // Fresh root-originated information: refresh depth and sequence.
-        st.seq = hb->seq;
-        st.seq_advanced_at = now;
-        st.depth = hb->depth + 1;
+  switch (msg.tag) {
+    case net::MaintenanceTag::kHeartbeat: {
+      const auto& neighbors = ctx.neighbors();
+      if (st.last_heard.size() != neighbors.size()) {
+        st.last_heard.assign(neighbors.size(), -1);
       }
-    } else if (st.depth == kInfiniteDepth &&
-               hb->depth != kInfiniteDepth && hb->seq > st.seq) {
-      // Orphaned (or newly joined) peer re-enters at depth d+1 — but only
-      // on information fresher than anything it has already seen, so a
-      // detached cycle's frozen sequence can never recruit it back.
-      adopt(ctx, st, env.from, *hb);
+      const auto it = std::find(neighbors.begin(), neighbors.end(), from);
+      ensure(it != neighbors.end(), "heartbeat from non-neighbor");
+      const auto idx =
+          static_cast<std::size_t>(std::distance(neighbors.begin(), it));
+      const auto now = static_cast<std::int64_t>(ctx.round());
+      st.last_heard[idx] = now;
+
+      if (self == root_) return;
+
+      if (st.upstream.has_value() && from == *st.upstream) {
+        if (msg.depth == kInfiniteDepth) {
+          // Upstream fell out of the hierarchy: so do we (recursively).
+          become_orphan(ctx, st);
+        } else if (msg.seq > st.seq) {
+          // Fresh root-originated information: refresh depth and sequence.
+          st.seq = msg.seq;
+          st.seq_advanced_at = now;
+          st.depth = msg.depth + 1;
+        }
+      } else if (st.depth == kInfiniteDepth &&
+                 msg.depth != kInfiniteDepth && msg.seq > st.seq) {
+        // Orphaned (or newly joined) peer re-enters at depth d+1 — but only
+        // on information fresher than anything it has already seen, so a
+        // detached cycle's frozen sequence can never recruit it back.
+        adopt(ctx, st, from, msg);
+      }
+      return;
     }
-    return;
+    case net::MaintenanceTag::kOrphan:
+      // Only meaningful if it still comes from our upstream; stale orphan
+      // notifications from a since-replaced parent are ignored.
+      if (st.upstream.has_value() && from == *st.upstream) {
+        become_orphan(ctx, st);
+      }
+      return;
+    case net::MaintenanceTag::kAttach:
+      if (std::find(st.downstream.begin(), st.downstream.end(), from) ==
+          st.downstream.end()) {
+        // Repair only: a stable tree sends no ATTACH.
+        // nf-lint: nf-cap-noalloc-ok
+        st.downstream.push_back(from);
+      }
+      return;
+    case net::MaintenanceTag::kDetach:
+      remove_downstream(st, from);
+      return;
   }
-
-  if (std::any_cast<Orphan>(&env.payload) != nullptr) {
-    // Only meaningful if it still comes from our upstream; stale orphan
-    // notifications from a since-replaced parent are ignored.
-    if (st.upstream.has_value() && env.from == *st.upstream) {
-      become_orphan(ctx, st);
-    }
-    return;
-  }
-
-  if (std::any_cast<Attach>(&env.payload) != nullptr) {
-    if (std::find(st.downstream.begin(), st.downstream.end(), env.from) ==
-        st.downstream.end()) {
-      st.downstream.push_back(env.from);
-    }
-    return;
-  }
-
-  if (std::any_cast<Detach>(&env.payload) != nullptr) {
-    remove_downstream(st, env.from);
-    return;
-  }
-
-  ensure(false, "unknown maintenance message");
 }
 
-void HierarchyMaintenance::become_orphan(net::Context& ctx, PeerState& st) {
+void HierarchyMaintenance::send_control(net::PhaseContext& ctx, PeerId to,
+                                        net::MaintenanceTag tag) {
+  net::PayloadWriter w = ctx.flat_payload();
+  net::encode_maintenance_to(w, {tag});
+  ctx.send_flat(to, net::TrafficCategory::kControl, config_.control_bytes,
+                w.finish());
+}
+
+void HierarchyMaintenance::become_orphan(net::PhaseContext& ctx,
+                                         PeerState& st) {
   if (st.depth == kInfiniteDepth && !st.upstream.has_value()) return;
   st.depth = kInfiniteDepth;
   st.upstream.reset();
@@ -148,17 +160,16 @@ void HierarchyMaintenance::become_orphan(net::Context& ctx, PeerState& st) {
   // the infinite depth in our heartbeats; the explicit message just makes
   // the wave one round faster per level.
   for (PeerId child : st.downstream) {
-    ctx.send(child, net::TrafficCategory::kControl, config_.control_bytes,
-             std::any(Orphan{}));
+    send_control(ctx, child, net::MaintenanceTag::kOrphan);
   }
 }
 
-void HierarchyMaintenance::adopt(net::Context& ctx, PeerState& st,
-                                 PeerId parent, const Heartbeat& hb) {
+void HierarchyMaintenance::adopt(net::PhaseContext& ctx, PeerState& st,
+                                 PeerId parent,
+                                 const net::MaintenanceMsg& hb) {
   if (st.upstream.has_value() && *st.upstream != parent &&
       ctx.is_alive(*st.upstream)) {
-    ctx.send(*st.upstream, net::TrafficCategory::kControl,
-             config_.control_bytes, std::any(Detach{}));
+    send_control(ctx, *st.upstream, net::MaintenanceTag::kDetach);
   }
   // The new parent might be a current downstream neighbor (possible during
   // subtree reorganisation); sever that side first to avoid a 2-cycle.
@@ -168,8 +179,7 @@ void HierarchyMaintenance::adopt(net::Context& ctx, PeerState& st,
   st.seq_advanced_at = static_cast<std::int64_t>(ctx.round());
   if (!st.upstream.has_value() || *st.upstream != parent) {
     st.upstream = parent;
-    ctx.send(parent, net::TrafficCategory::kControl, config_.control_bytes,
-             std::any(Attach{}));
+    send_control(ctx, parent, net::MaintenanceTag::kAttach);
   }
 }
 

@@ -26,7 +26,10 @@
 // remains connected.
 //
 // The protocol is fully decentralized: each peer only touches its own
-// state and what heartbeats tell it about neighbors. `snapshot()` exports
+// state and what heartbeats tell it about neighbors. It runs as one flat
+// phase (net::run_phase, or a session of a SessionMux), is never done, and
+// so runs for exactly the rounds its driver gives it. Messages are the
+// tagged encodings of net/codec.h (MaintenanceMsg). `snapshot()` exports
 // the stabilized tree for the aggregation protocols and `stabilized()`
 // checks the structural invariants from the outside (test oracle only —
 // peers never read each other's state).
@@ -38,12 +41,14 @@
 
 #include "agg/hierarchy.h"
 #include "common/arena.h"
+#include "common/capability.h"
 #include "common/ids.h"
-#include "net/engine.h"
+#include "net/codec.h"
+#include "net/session.h"
 
 namespace nf::agg {
 
-class HierarchyMaintenance final : public net::Protocol {
+class HierarchyMaintenance final : public net::FlatPhase {
  public:
   struct Config {
     /// Modelled size of one heartbeat: sender id + DEPTH + SEQ.
@@ -59,12 +64,11 @@ class HierarchyMaintenance final : public net::Protocol {
 
   HierarchyMaintenance(const Hierarchy& initial, Config config);
 
-  void on_round(net::Context& ctx) override;
-  void on_message(net::Context& ctx, net::Envelope&& env) override;
+  void on_round(net::PhaseContext& ctx) override;
 
-  /// Maintenance never quiesces on its own; the driver decides how many
+  /// Maintenance never completes on its own; the driver decides how many
   /// rounds to run it for.
-  [[nodiscard]] bool active() const override { return false; }
+  [[nodiscard]] bool done() const override { return false; }
 
   /// Exports the current tree. Peers whose parent chain does not reach the
   /// root (mid-repair) are exported as non-members hosted by their nearest
@@ -82,14 +86,12 @@ class HierarchyMaintenance final : public net::Protocol {
     return state_[p.value()].depth;
   }
 
+ protected:
+  NF_SHARD_CONTEXT NF_STEADY_NOALLOC void on_flat(
+      net::PhaseContext& ctx, std::span<const std::uint8_t> bytes,
+      PeerId from) override;
+
  private:
-  struct Heartbeat {
-    std::uint64_t seq;
-    std::uint32_t depth;
-  };
-  struct Orphan {};
-  struct Attach {};
-  struct Detach {};
 
   struct PeerState {
     std::uint32_t depth = kInfiniteDepth;
@@ -103,9 +105,11 @@ class HierarchyMaintenance final : public net::Protocol {
     bool ever_ticked = false;
   };
 
-  void become_orphan(net::Context& ctx, PeerState& st);
-  void adopt(net::Context& ctx, PeerState& st, PeerId parent,
-             const Heartbeat& hb);
+  void become_orphan(net::PhaseContext& ctx, PeerState& st);
+  void adopt(net::PhaseContext& ctx, PeerState& st, PeerId parent,
+             const net::MaintenanceMsg& hb);
+  void send_control(net::PhaseContext& ctx, PeerId to,
+                    net::MaintenanceTag tag);
   static void remove_downstream(PeerState& st, PeerId child);
 
   PeerId root_;

@@ -16,38 +16,35 @@
 // whole IFI query there) — or the two may run in separate engine runs
 // (QueryService::serve). Both charge per hop on kControl: a request costs
 // `request_bytes`, a reply |answer| · `pair_bytes`.
+//
+// On the wire (net/codec.h) a request is the route walked so far — a
+// varint peer list — and a reply is the hops still to go (requester first)
+// followed by the answer's encode_pairs run. A hop re-encodes the route
+// around the raw id bytes, so forwarding decodes no answer and allocates
+// nothing.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "agg/hierarchy.h"
+#include "common/capability.h"
 #include "common/error.h"
 #include "common/ids.h"
 #include "common/item_source.h"
+#include "net/codec.h"
 #include "net/session.h"
 
 namespace nf::agg {
 
-/// A request climbing the parent chain.
-struct RequestMsg {
-  std::vector<PeerId> route;  ///< hops walked so far, excluding the root
-};
-
-/// The root's answer retracing a recorded route.
-struct ReplyMsg {
-  std::vector<PeerId> route;  ///< remaining hops; requester first
-  ValueMap<ItemId, Value> answer;
-};
-
 /// Request half: the requester originates when the phase opens there and
 /// each hop forwards upstream, appending itself to the route. Shard-safe:
 /// the route and the arrival flag have one writer, the root's shard.
-class RequestPhase final  // control plane, not hot path
-    : public net::TypedPhase<RequestMsg> {  // nf-lint: nf-flat-payload-ok
+class RequestPhase final : public net::FlatPhase {
  public:
   /// Fires at the root, inside the run, the moment the request arrives —
   /// the hook the session's next phase chains from.
@@ -64,7 +61,7 @@ class RequestPhase final  // control plane, not hot path
 
   void on_start(net::PhaseContext& ctx) override {
     if (ctx.self() != requester_) return;
-    forward(ctx, RequestMsg{});
+    forward(ctx, net::RouteFrame{});
   }
 
   [[nodiscard]] bool done() const override {
@@ -79,23 +76,33 @@ class RequestPhase final  // control plane, not hot path
   }
 
  protected:
-  void on_payload(net::PhaseContext& ctx, RequestMsg&& msg,
-                  PeerId /*from*/) override {
-    forward(ctx, std::move(msg));
+  NF_SHARD_CONTEXT NF_STEADY_NOALLOC void on_flat(
+      net::PhaseContext& ctx, std::span<const std::uint8_t> bytes,
+      PeerId /*from*/) override {
+    const net::RouteFrame route = net::decode_route(bytes);
+    ensure(route.rest.empty(), "trailing bytes after request route");
+    forward(ctx, route);
   }
 
  private:
-  void forward(net::PhaseContext& ctx, RequestMsg&& msg) {
+  void forward(net::PhaseContext& ctx, const net::RouteFrame& route) {
     const PeerId self = ctx.self();
     if (self == hierarchy_.root()) {
-      route_ = std::move(msg.route);
+      route_.reserve(route.count);
+      for (std::size_t off = 0; off < route.ids.size();) {
+        route_.emplace_back(
+            static_cast<std::uint32_t>(net::get_varint(route.ids, off)));
+      }
       arrived_.store(true, std::memory_order_relaxed);
       if (on_arrived_) on_arrived_(ctx);
       return;
     }
-    msg.route.push_back(self);
-    this->send(ctx, hierarchy_.upstream(self), net::TrafficCategory::kControl,
-               request_bytes_, std::move(msg));
+    net::PayloadWriter w = ctx.flat_payload();
+    w.put_varint(route.count + 1);
+    w.put_bytes(route.ids);
+    w.put_varint(self.value());
+    ctx.send_flat(hierarchy_.upstream(self), net::TrafficCategory::kControl,
+                  request_bytes_, w.finish());
   }
 
   const Hierarchy& hierarchy_;
@@ -108,11 +115,10 @@ class RequestPhase final  // control plane, not hot path
 
 /// Reply half: the root dispatches the installed answer along the recorded
 /// route. Only the root originates, however the phase opens there, so it
-/// may open at every peer (kAllPeers) or on demand. Shard-safe: the outbox
-/// is read only at the root, the delivered answer written only at the
-/// requester.
-class ReplyPhase final  // control plane, not hot path
-    : public net::TypedPhase<ReplyMsg> {  // nf-lint: nf-flat-payload-ok
+/// may open at every peer (kAllPeers) or on demand. Shard-safe: the
+/// installed route and answer are read only at the root, and the answer is
+/// overwritten with the delivered copy only at the requester, rounds later.
+class ReplyPhase final : public net::FlatPhase {
  public:
   ReplyPhase(const Hierarchy& hierarchy, PeerId requester,
              std::uint64_t pair_bytes)
@@ -125,14 +131,24 @@ class ReplyPhase final  // control plane, not hot path
   /// from an earlier phase's callback (the root's shard) right before
   /// open_phase().
   void set_reply(std::vector<PeerId> route, ValueMap<ItemId, Value> answer) {
-    outbox_ = ReplyMsg{std::move(route), std::move(answer)};
+    route_ = std::move(route);
+    answer_ = std::move(answer);
     has_reply_ = true;
   }
 
   void on_start(net::PhaseContext& ctx) override {
     if (ctx.self() != hierarchy_.root()) return;
     ensure(has_reply_, "reply opened at root without an answer");
-    dispatch(ctx, std::move(outbox_));
+    if (route_.empty()) {
+      ensure(ctx.self() == requester_, "reply misrouted");
+      delivered_.store(true, std::memory_order_relaxed);
+      return;
+    }
+    net::PayloadWriter w = ctx.flat_payload();
+    net::encode_route_to(w, std::span(route_).first(route_.size() - 1));
+    net::encode_pairs_to(w, answer_);
+    ctx.send_flat(route_.back(), net::TrafficCategory::kControl,
+                  answer_.size() * pair_bytes_, w.finish());
   }
 
   [[nodiscard]] bool done() const override {
@@ -146,30 +162,30 @@ class ReplyPhase final  // control plane, not hot path
   }
 
  protected:
-  void on_payload(net::PhaseContext& ctx, ReplyMsg&& msg,
-                  PeerId /*from*/) override {
-    dispatch(ctx, std::move(msg));
-  }
-
- private:
-  void dispatch(net::PhaseContext& ctx, ReplyMsg&& msg) {
-    if (msg.route.empty()) {
+  NF_SHARD_CONTEXT NF_STEADY_NOALLOC void on_flat(
+      net::PhaseContext& ctx, std::span<const std::uint8_t> bytes,
+      PeerId /*from*/) override {
+    const net::RouteFrame route = net::decode_route(bytes);
+    if (route.count == 0) {
       ensure(ctx.self() == requester_, "reply misrouted");
-      answer_ = std::move(msg.answer);
+      answer_ = net::decode_pairs(route.rest);
       delivered_.store(true, std::memory_order_relaxed);
       return;
     }
-    const PeerId next = msg.route.back();
-    msg.route.pop_back();
-    const std::uint64_t bytes = msg.answer.size() * pair_bytes_;
-    this->send(ctx, next, net::TrafficCategory::kControl, bytes,
-               std::move(msg));
+    // Pop the last hop and pass the answer bytes through untouched.
+    net::PayloadWriter w = ctx.flat_payload();
+    w.put_varint(route.count - 1);
+    w.put_bytes(route.ids.first(route.last_offset));
+    w.put_bytes(route.rest);
+    ctx.send_flat(route.last, net::TrafficCategory::kControl,
+                  net::pair_count(route.rest) * pair_bytes_, w.finish());
   }
 
+ private:
   const Hierarchy& hierarchy_;
   PeerId requester_;
   std::uint64_t pair_bytes_;
-  ReplyMsg outbox_;
+  std::vector<PeerId> route_;
   bool has_reply_ = false;
   ValueMap<ItemId, Value> answer_;
   std::atomic<bool> delivered_{false};

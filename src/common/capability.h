@@ -15,7 +15,7 @@
 // Place a capability like an attribute, before the declaration:
 //
 //   NF_ENGINE_THREAD void merge_and_finalize();
-//   NF_SHARD_CONTEXT void on_message(Context& ctx, Envelope&& env) override;
+//   NF_SHARD_CONTEXT void on_message(PhaseContext& ctx, Envelope&& env) override;
 //   NF_ENGINE_THREAD NF_STEADY_NOALLOC void admit(Outgoing&& out, ...);
 //
 // Semantics (enforced by nf-lint):
@@ -23,7 +23,7 @@
 //  * NF_ENGINE_THREAD — runs on the engine thread only, between shard
 //    barriers, in canonical order. Calling it from anything reachable from
 //    an NF_SHARD_CONTEXT root is an nf-cap-thread violation.
-//  * NF_SHARD_CONTEXT — a shard-worker entry point (Protocol/Phase
+//  * NF_SHARD_CONTEXT — a shard-worker entry point (SessionMux/Phase
 //    delivery + tick hooks, ShardPool bodies). Roots of the nf-cap-thread
 //    reachability walk. May touch only the executing peer's slots in dense
 //    arenas, commutative atomics, and NF_REENTRANT APIs.

@@ -143,6 +143,11 @@ class ValueMap {
     return t;
   }
 
+  /// Multiplies every value by `factor` in place.
+  void scale(Value factor) {
+    for (auto& e : entries_) e.second *= factor;
+  }
+
   /// Removes every entry for which `pred(id, value)` is false.
   template <typename Pred>
   void retain(Pred pred) {

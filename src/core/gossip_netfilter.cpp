@@ -7,8 +7,10 @@
 
 #include "agg/gossip.h"
 #include "common/arena.h"
+#include "common/capability.h"
 #include "common/error.h"
 #include "core/netfilter.h"
+#include "net/codec.h"
 #include "net/flood.h"
 #include "net/session.h"
 #include "obs/context.h"
@@ -19,85 +21,19 @@ namespace {
 
 /// Push-sum over sparse <item, mass> maps. Push-sum only needs a vector
 /// space — halving and adding — which ValueMap<ItemId, double> provides;
-/// the support union emerges as shares mix. The hidden `count` coordinate
-/// (1 at the initiator) turns averages into sums, as in agg::PushSumGossip.
-/// Shard-safe the same way: per-peer arenas, round counting on the engine
-/// thread via on_round_begin.
-class MapPushSum final : public net::Protocol {
+/// the support union emerges as shares mix. The count coordinate starts at
+/// the initiator. A share is net::encode_map_share_to.
+class MapPushSum final : public agg::PushSumPhase {
  public:
   using Map = ValueMap<ItemId, double>;
 
   MapPushSum(std::vector<Map> initial, PeerId initiator,
              const WireSizes& wire, std::uint32_t rounds, std::uint64_t seed,
              obs::Context* obs = nullptr)
-      : x_(std::move(initial)),
-        wire_(wire),
-        obs_(obs),
-        rounds_(rounds),
-        num_peers_(x_.size()) {
-    count_.assign(num_peers_, 0.0);
-    count_[initiator.value()] = 1.0;
-    w_.assign(num_peers_, 1.0);
-    rng_ = fork_streams(seed, num_peers_);
-    pending_parents_.assign(num_peers_, {});
-  }
-
-  void on_round_begin(std::uint64_t /*round*/) override {
-    ++rounds_done_;
-    if (obs_ != nullptr) {
-      obs_->tracer.record(obs::EventKind::kGossipRound, "gossip.round",
-                          obs::kNoPeer, rounds_done_);
-    }
-  }
-
-  void on_round(net::Context& ctx) override {
-    const PeerId self = ctx.self();
-    if (rounds_done_ > rounds_) return;
-
-    const auto targets = ctx.overlay().alive_neighbors(self);
-    if (targets.empty()) return;
-    const PeerId to = targets[rng_[self.value()].below(targets.size())];
-
-    Share out;
-    Map& x = x_[self.value()];
-    // Halve in place and build the outgoing copy in one pass.
-    std::vector<std::pair<ItemId, double>> pairs;
-    pairs.reserve(x.size());
-    for (const auto& [id, v] : x) pairs.emplace_back(id, v * 0.5);
-    out.x = Map::from_unsorted(pairs);
-    x = Map::from_unsorted(std::move(pairs));
-    out.count = count_[self.value()] * 0.5;
-    count_[self.value()] *= 0.5;
-    out.w = w_[self.value()] * 0.5;
-    w_[self.value()] *= 0.5;
-
-    const std::uint64_t bytes =
-        out.x.size() * wire_.item_value_pair() + 2 * wire_.aggregate_bytes;
-    if (obs_ != nullptr) {
-      obs_->registry.counter("gossip/shares").add(1);
-      obs_->registry.histogram("gossip/share_bytes").observe(bytes);
-    }
-    // Shares merged since the last send are causal parents of this one.
-    std::vector<obs::LineageId>& parents = pending_parents_[self.value()];
-    ctx.send(to, net::TrafficCategory::kGossip, bytes,
-             std::any(std::move(out)),
-             std::span<const obs::LineageId>(parents));
-    parents.clear();
-  }
-
-  void on_message(net::Context& ctx, net::Envelope&& env) override {
-    auto* share = std::any_cast<Share>(&env.payload);
-    ensure(share != nullptr, "map push-sum payload type mismatch");
-    const PeerId self = ctx.self();
-    pending_parents_[self.value()].push_back(ctx.cause());
-    x_[self.value()].merge_add(share->x);
-    count_[self.value()] += share->count;
-    w_[self.value()] += share->w;
-  }
-
-  [[nodiscard]] bool active() const override {
-    return rounds_done_ < rounds_;
-  }
+      : PushSumPhase(static_cast<std::uint32_t>(initial.size()), initiator,
+                     rounds, seed, obs),
+        x_(std::move(initial)),
+        wire_(wire) {}
 
   /// Estimated global <id, value> sums at `p`.
   [[nodiscard]] ValueMap<ItemId, double> estimates(PeerId p) const {
@@ -110,23 +46,26 @@ class MapPushSum final : public net::Protocol {
     return out;
   }
 
- private:
-  struct Share {
-    Map x;
-    double count;
-    double w;
-  };
+ protected:
+  NF_SHARD_CONTEXT std::uint64_t halve_and_encode(
+      PeerId p, net::PayloadWriter& w) override {
+    Map& x = x_[p.value()];
+    x.scale(0.5);
+    net::encode_map_share_to(w, x, count_[p.value()], w_[p.value()]);
+    return x.size() * wire_.item_value_pair() + 2 * wire_.aggregate_bytes;
+  }
 
+  // The merge grows the map as supports union (reserved in merge_add_run):
+  // sparse push-sum is outside the zero-alloc guarantee.
+  NF_SHARD_CONTEXT NF_STEADY_NOALLOC void merge(
+      PeerId p, std::span<const std::uint8_t> share) override {
+    net::merge_map_share_from(share, x_[p.value()], count_[p.value()],
+                              w_[p.value()]);
+  }
+
+ private:
   PeerArena<Map> x_;
-  PeerArena<double> count_;
-  PeerArena<double> w_;
-  PeerArena<Rng> rng_;
-  PeerArena<std::vector<obs::LineageId>> pending_parents_;
   WireSizes wire_;
-  obs::Context* obs_ = nullptr;
-  std::uint32_t rounds_;
-  std::uint32_t num_peers_;
-  std::uint32_t rounds_done_{0};
 };
 
 }  // namespace
@@ -186,8 +125,8 @@ GossipNetFilterResult GossipNetFilter::run(
     engine.set_threads(config_.threads);
     engine.set_fault_model(config_.fault);
     engine.set_obs(config_.obs);
-    result.stats.rounds +=
-        engine.run(phase1, std::uint64_t{p1.rounds} * 4 + 10);
+    result.stats.rounds += net::run_phase(
+        engine, phase1, std::uint64_t{p1.rounds} * 4 + 10, nullptr);
   }
   result.stats.phase1_cost =
       static_cast<double>(meter.total(net::TrafficCategory::kGossip) -
@@ -253,8 +192,9 @@ GossipNetFilterResult GossipNetFilter::run(
     engine.set_threads(config_.threads);
     engine.set_fault_model(config_.fault);
     engine.set_obs(config_.obs);
-    result.stats.rounds +=
-        engine.run(phase2, std::uint64_t{config_.phase2_rounds} * 4 + 10);
+    result.stats.rounds += net::run_phase(
+        engine, phase2, std::uint64_t{config_.phase2_rounds} * 4 + 10,
+        nullptr);
   }
   result.stats.phase2_cost =
       static_cast<double>(meter.total(net::TrafficCategory::kGossip) -

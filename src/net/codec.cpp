@@ -102,6 +102,23 @@ void put_varints_exact(PayloadWriter& w, Emit emit) {
   emit([&out](std::uint64_t v) { out = write_varint(out, v); });
 }
 
+std::uint8_t* write_fixed64(std::uint8_t* out, double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  for (int shift = 0; shift < 64; shift += 8) {
+    *out++ = static_cast<std::uint8_t>(bits >> shift);
+  }
+  return out;
+}
+
+double read_fixed64(const std::uint8_t*& p, const std::uint8_t* end) {
+  ensure(end - p >= 8, "truncated fixed64");
+  std::uint64_t bits = 0;
+  for (int shift = 0; shift < 64; shift += 8) {
+    bits |= static_cast<std::uint64_t>(*p++) << shift;
+  }
+  return std::bit_cast<double>(bits);
+}
+
 }  // namespace
 
 void put_varint(Bytes& out, std::uint64_t value) {
@@ -275,6 +292,118 @@ void add_aggregates_from(std::span<const std::uint8_t> in,
     out[i++] += get_varint(in, offset);
   }
   ensure(offset == in.size(), "trailing bytes after aggregate vector");
+}
+
+std::uint64_t pair_count(std::span<const std::uint8_t> in) {
+  const std::uint8_t* p = in.data();
+  return read_count(p, p + in.size(), 2);
+}
+
+void encode_maintenance_to(PayloadWriter& w, const MaintenanceMsg& msg) {
+  w.put_varint(static_cast<std::uint8_t>(msg.tag));  // one byte: tag < 128
+  if (msg.tag != MaintenanceTag::kHeartbeat) return;
+  w.put_varint(msg.seq);
+  w.put_varint(msg.depth);
+}
+
+MaintenanceMsg decode_maintenance(std::span<const std::uint8_t> in) {
+  ensure(!in.empty(), "empty maintenance message");
+  const std::uint8_t* p = in.data();
+  const std::uint8_t* const end = p + in.size();
+  MaintenanceMsg msg;
+  const std::uint8_t tag = *p++;
+  ensure(tag <= static_cast<std::uint8_t>(MaintenanceTag::kDetach),
+         "unknown maintenance tag");
+  msg.tag = static_cast<MaintenanceTag>(tag);
+  if (msg.tag == MaintenanceTag::kHeartbeat) {
+    msg.seq = read_varint(p, end);
+    const std::uint64_t depth = read_varint(p, end);
+    ensure(depth <= std::numeric_limits<std::uint32_t>::max(),
+           "heartbeat depth beyond 32 bits");
+    msg.depth = static_cast<std::uint32_t>(depth);
+  }
+  ensure(p == end, "trailing bytes after maintenance message");
+  return msg;
+}
+
+void encode_share_to(PayloadWriter& w, std::span<const double> x,
+                     double count, double weight) {
+  std::uint8_t* out = w.append_raw((x.size() + 2) * 8);
+  for (const double v : x) out = write_fixed64(out, v);
+  write_fixed64(write_fixed64(out, count), weight);
+}
+
+void add_share_from(std::span<const std::uint8_t> in, std::span<double> x,
+                    double& count, double& weight) {
+  ensure(in.size() == (x.size() + 2) * 8, "push-sum share size mismatch");
+  const std::uint8_t* p = in.data();
+  const std::uint8_t* const end = p + in.size();
+  for (double& v : x) v += read_fixed64(p, end);
+  count += read_fixed64(p, end);
+  weight += read_fixed64(p, end);
+}
+
+void encode_map_share_to(PayloadWriter& w, const ValueMap<ItemId, double>& x,
+                         double count, double weight) {
+  w.put_varint(x.size());
+  std::uint64_t prev = 0;
+  for (const auto& [id, v] : x) {
+    w.put_varint(id.value() - prev);
+    write_fixed64(w.append_raw(8), v);
+    prev = id.value();
+  }
+  write_fixed64(write_fixed64(w.append_raw(16), count), weight);
+}
+
+void merge_map_share_from(std::span<const std::uint8_t> in,
+                          ValueMap<ItemId, double>& x, double& count,
+                          double& weight) {
+  const std::uint8_t* p = in.data();
+  const std::uint8_t* const end = p + in.size();
+  ensure(in.size() >= 16, "truncated push-sum share");
+  // Count and weight sit in the last 16 bytes; every entry takes at least
+  // one id byte and eight value bytes.
+  const std::uint8_t* const entries_end = end - 16;
+  const std::uint64_t n = read_count(p, entries_end, 9);
+  if (n == 0) ensure(p == entries_end, "push-sum share size mismatch");
+  std::uint64_t prev = 0;
+  std::uint64_t taken = 0;
+  x.merge_add_run(n, [&] {
+    const std::uint64_t id = prev + read_varint(p, entries_end);
+    ensure(id > prev || taken == 0, "share ids not strictly ascending");
+    prev = id;
+    const std::pair<ItemId, double> entry(ItemId(id),
+                                          read_fixed64(p, entries_end));
+    // Checked before the merge commits, so a bad share changes nothing.
+    if (++taken == n) ensure(p == entries_end, "push-sum share size mismatch");
+    return entry;
+  });
+  const std::uint8_t* tail = entries_end;
+  count += read_fixed64(tail, end);
+  weight += read_fixed64(tail, end);
+}
+
+void encode_route_to(PayloadWriter& w, std::span<const PeerId> route) {
+  w.put_varint(route.size());
+  for (const PeerId peer : route) w.put_varint(peer.value());
+}
+
+RouteFrame decode_route(std::span<const std::uint8_t> in) {
+  const std::uint8_t* p = in.data();
+  const std::uint8_t* const end = p + in.size();
+  RouteFrame frame;
+  frame.count = read_count(p, end, 1);
+  const std::uint8_t* const ids = p;
+  for (std::uint64_t i = 0; i < frame.count; ++i) {
+    frame.last_offset = static_cast<std::size_t>(p - ids);
+    const std::uint64_t id = read_varint(p, end);
+    ensure(id <= std::numeric_limits<std::uint32_t>::max(),
+           "peer id beyond 32 bits");
+    frame.last = PeerId(static_cast<std::uint32_t>(id));
+  }
+  frame.ids = {ids, p};
+  frame.rest = {p, end};
+  return frame;
 }
 
 }  // namespace nf::net

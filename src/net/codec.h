@@ -110,4 +110,77 @@ void encode_aggregates_to(PayloadWriter& w,
 void add_aggregates_from(std::span<const std::uint8_t> in,
                          std::span<std::uint64_t> acc);
 
+/// Number of pairs an encoded pair run holds, read from its leading count.
+/// Throws ProtocolError on a count the run's length cannot hold.
+[[nodiscard]] std::uint64_t pair_count(std::span<const std::uint8_t> in);
+
+// --- Control-plane codecs --------------------------------------------------
+//
+// Hierarchy maintenance, push-sum gossip and source-routed request/reply
+// (agg/maintenance.h, agg/gossip.h, core/gossip_netfilter.cpp,
+// agg/unicast.h). Every decoder throws ProtocolError on malformed input and
+// never allocates unless it fills a caller's container.
+
+/// Hierarchy-maintenance message: a one-byte tag; a heartbeat follows it
+/// with varint SEQ and varint DEPTH.
+enum class MaintenanceTag : std::uint8_t {
+  kHeartbeat = 0,
+  kOrphan = 1,
+  kAttach = 2,
+  kDetach = 3,
+};
+
+struct MaintenanceMsg {
+  MaintenanceTag tag = MaintenanceTag::kHeartbeat;
+  std::uint64_t seq = 0;    ///< heartbeats only
+  std::uint32_t depth = 0;  ///< heartbeats only
+};
+
+void encode_maintenance_to(PayloadWriter& w, const MaintenanceMsg& msg);
+
+/// Throws on an empty payload, an unknown tag, a truncated or over-long
+/// varint, a depth beyond 32 bits, or trailing bytes.
+[[nodiscard]] MaintenanceMsg decode_maintenance(
+    std::span<const std::uint8_t> in);
+
+/// Dense push-sum share: each coordinate of `x`, then `count` and `weight`,
+/// all as little-endian fixed64 IEEE doubles.
+void encode_share_to(PayloadWriter& w, std::span<const double> x,
+                     double count, double weight);
+
+/// Adds a dense share into `x`, `count` and `weight`. Throws unless `in`
+/// holds exactly x.size() + 2 fields, leaving the accumulators unchanged.
+void add_share_from(std::span<const std::uint8_t> in, std::span<double> x,
+                    double& count, double& weight);
+
+/// Sparse push-sum share: entry count, then per entry a delta-varint item
+/// id and its fixed64 value, then fixed64 `count` and `weight`.
+void encode_map_share_to(PayloadWriter& w, const ValueMap<ItemId, double>& x,
+                         double count, double weight);
+
+/// Merges a sparse share into `x` (summing equal ids) and adds its count
+/// and weight. Throws on a count the payload cannot hold, ids that do not
+/// strictly ascend, or a truncated or over-long share, leaving the
+/// accumulators unchanged.
+void merge_map_share_from(std::span<const std::uint8_t> in,
+                          ValueMap<ItemId, double>& x, double& count,
+                          double& weight);
+
+/// Source route: peer count, then one varint peer id per hop. A reply
+/// appends its encode_pairs run after the route.
+void encode_route_to(PayloadWriter& w, std::span<const PeerId> route);
+
+/// A route split off the front of a payload; every id is validated.
+struct RouteFrame {
+  std::uint64_t count = 0;             ///< peers on the route
+  std::span<const std::uint8_t> ids;   ///< their encoded ids
+  std::span<const std::uint8_t> rest;  ///< the bytes after the route
+  PeerId last{};                       ///< the final peer, if count > 0
+  std::size_t last_offset = 0;         ///< where `last` starts in `ids`
+};
+
+/// Throws on a count the payload cannot hold, a truncated or over-long
+/// varint, or an id beyond 32 bits.
+[[nodiscard]] RouteFrame decode_route(std::span<const std::uint8_t> in);
+
 }  // namespace nf::net

@@ -8,6 +8,7 @@
 #include "common/alloc_hook.h"
 #include "common/error.h"
 #include "common/hashing.h"
+#include "net/session.h"
 #include "obs/clock.h"
 
 namespace nf::net {
@@ -75,44 +76,12 @@ void Context::push_send(PeerId to, TrafficCategory category,
   outbox_->push_back(std::move(ks));
 }
 
-void Context::send(PeerId to, TrafficCategory category, std::uint64_t bytes,
-                   std::any payload) {
-  push_send(to, category, bytes, std::move(payload), PayloadRef{}, kNoSession,
-            0, std::span<const obs::LineageId>(&cause_, 1));
-}
-
-void Context::send(PeerId to, TrafficCategory category, std::uint64_t bytes,
-                   std::any payload,
-                   std::span<const obs::LineageId> parents) {
-  push_send(to, category, bytes, std::move(payload), PayloadRef{}, kNoSession,
-            0, parents);
-}
-
-void Context::send_tagged(PeerId to, TrafficCategory category,
-                          std::uint64_t bytes, std::any payload,
-                          SessionId session, PhaseId phase) {
-  push_send(to, category, bytes, std::move(payload), PayloadRef{}, session,
-            phase, std::span<const obs::LineageId>(&cause_, 1));
-}
-
 void Context::send_tagged(PeerId to, TrafficCategory category,
                           std::uint64_t bytes, std::any payload,
                           SessionId session, PhaseId phase,
                           std::span<const obs::LineageId> parents) {
   push_send(to, category, bytes, std::move(payload), PayloadRef{}, session,
             phase, parents);
-}
-
-void Context::send_flat(PeerId to, TrafficCategory category,
-                        std::uint64_t bytes, PayloadRef flat) {
-  push_send(to, category, bytes, {}, flat, kNoSession, 0,
-            std::span<const obs::LineageId>(&cause_, 1));
-}
-
-void Context::send_flat(PeerId to, TrafficCategory category,
-                        std::uint64_t bytes, PayloadRef flat,
-                        std::span<const obs::LineageId> parents) {
-  push_send(to, category, bytes, {}, flat, kNoSession, 0, parents);
 }
 
 void Context::send_flat_tagged(PeerId to, TrafficCategory category,
@@ -334,7 +303,7 @@ void Engine::predispatch(std::vector<Outgoing>& inbox, const ShardPlan& plan) {
   }
 }
 
-void Engine::run_shard(Protocol& protocol, std::uint32_t shard,
+void Engine::run_shard(SessionMux& mux, std::uint32_t shard,
                        const ShardPlan& plan, std::uint64_t tick_base) {
   // Busy wall time is written only to this shard's own slot, so workers
   // never race; the engine thread folds the slots into gauges after the
@@ -347,7 +316,7 @@ void Engine::run_shard(Protocol& protocol, std::uint32_t shard,
     Context ctx(*this, d.out.envelope.to, &sc.outbox, &shard_slabs_[shard],
                 shard, /*major=*/d.index, /*first_minor=*/1,
                 /*cause=*/d.out.envelope.lineage);
-    protocol.on_message(ctx, std::move(d.out.envelope));
+    mux.on_message(ctx, std::move(d.out.envelope));
   }
   for (std::uint32_t peer = plan.begin(shard); peer < plan.end(shard);
        ++peer) {
@@ -355,7 +324,7 @@ void Engine::run_shard(Protocol& protocol, std::uint32_t shard,
     Context ctx(*this, PeerId(peer), &sc.outbox, &shard_slabs_[shard], shard,
                 /*major=*/tick_base + peer, /*first_minor=*/0,
                 /*cause=*/obs::kNoLineage);
-    protocol.on_round(ctx);
+    mux.on_round(ctx);
   }
   if (obs_ != nullptr) shard_busy_us_[shard] += obs::elapsed_us(t0);
 }
@@ -614,7 +583,7 @@ void Engine::scan_retransmissions() {
   }
 }
 
-std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
+std::uint64_t Engine::run(SessionMux& mux, std::uint64_t max_rounds,
                           const ChurnSchedule* schedule) {
   const std::uint64_t start_round = round_;
   const ShardPlan plan(overlay_.num_peers(), threads_);
@@ -624,8 +593,8 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
   // can heap-allocate, which the steady-state gate would count.
   std::function<void(std::uint32_t)> shard_task;
   if (pool_ != nullptr && plan.num_shards() > 1) {
-    shard_task = [this, &protocol, &plan](std::uint32_t k) {
-      run_shard(protocol, k, plan, tick_base_);
+    shard_task = [this, &mux, &plan](std::uint32_t k) {
+      run_shard(mux, k, plan, tick_base_);
     };
   }
   if (obs_ != nullptr) {
@@ -654,7 +623,7 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
     // rounds start at 1) and the first node id this run will admit.
     lineage_->mark_run_start(obs_->tracer.clock());
   }
-  protocol.on_run_start(overlay_);
+  mux.on_run_start(overlay_);
   for (std::uint64_t executed = 0; executed < max_rounds; ++executed) {
     const std::uint64_t allocs_at_round_start = alloc_hook::count();
     // 0. Stamp the round boundary: advance the tracer's logical clock so
@@ -682,8 +651,8 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
       }
     }
 
-    // 2. Whole-round protocol bookkeeping, engine thread.
-    protocol.on_round_begin(round_);
+    // 2. Whole-round session bookkeeping, engine thread.
+    mux.on_round_begin(round_);
 
     // 3. Predispatch this round's arrivals: drops, loss, ACK accounting and
     // duplicate suppression happen here on the engine thread; survivors are
@@ -707,7 +676,7 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
       pool_->dispatch(plan.num_shards(), shard_task);
     } else {
       for (std::uint32_t k = 0; k < plan.num_shards(); ++k) {
-        run_shard(protocol, k, plan, tick_base_);
+        run_shard(mux, k, plan, tick_base_);
       }
     }
     if (obs_ != nullptr) {
@@ -781,9 +750,9 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
 
     // 7. Quiescence check. Under the fault model, unacknowledged messages
     // keep the engine alive until they are delivered or given up on.
-    if (in_transit_ == 0 && !protocol.active() && pending_count_ == 0) break;
+    if (in_transit_ == 0 && !mux.active() && pending_count_ == 0) break;
   }
-  protocol.on_run_end();
+  mux.on_run_end();
   return round_ - start_round;
 }
 

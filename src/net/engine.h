@@ -3,11 +3,12 @@
 // The simulator advances in synchronous rounds, the standard model for
 // evaluating P2P aggregation protocols: a message sent in round r is
 // delivered at the start of round r+1 (or later under the link model) if
-// its destination is then alive. Protocols are state machines over peers:
-// the engine calls `on_round(ctx)` once per alive peer per round and
-// `on_message(ctx, env)` for each delivered envelope. A run drives one
-// protocol; concurrent work (several sessions, several phases) shares a run
-// through net::SessionMux, which routes envelopes by their session tags.
+// its destination is then alive. A run drives one net::SessionMux
+// (net/session.h): the engine calls its `on_round(ctx)` once per alive peer
+// per round and its `on_message(ctx, env)` for each delivered envelope, and
+// the mux routes both to the Phase components of its sessions by the
+// envelopes' (session, phase) tags. A lone phase runs through
+// net::run_phase, a mux of one.
 //
 // Execution model (serial and sharded runs share one code path):
 //   1. churn + round bookkeeping              (engine thread)
@@ -76,6 +77,7 @@ struct LinkFaultModel {
 };
 
 class Engine;
+class SessionMux;
 
 /// Per-peer view handed to protocol callbacks. Sends are buffered in the
 /// executing shard's outbox, then metered and admitted to the network in
@@ -94,8 +96,9 @@ class Context {
   NF_REENTRANT [[nodiscard]] obs::LineageId cause() const { return cause_; }
 
   /// A writer into the executing shard's outbox slab. Encode the payload,
-  /// finish() for the PayloadRef, and pass it to send_flat(). Refs are only
-  /// valid to send from this same callback (the slab resets next round).
+  /// finish() for the PayloadRef, and pass it to send_flat_tagged(). Refs
+  /// are only valid to send from this same callback (the slab resets next
+  /// round).
   NF_REENTRANT [[nodiscard]] PayloadWriter flat_payload();
 
   /// Resolves a delivered envelope's flat payload to bytes. Empty span when
@@ -103,44 +106,21 @@ class Context {
   NF_REENTRANT [[nodiscard]] std::span<const std::uint8_t> payload_bytes(
       const Envelope& env) const;
 
-  /// Queues a message whose payload is a flat slab ref (net/payload.h). The
+  /// Queues a message whose payload is a flat slab ref (net/payload.h),
+  /// tagged with the (session, phase) pair a SessionMux (net/session.h)
+  /// routes it by. Its bytes are metered at the round barrier, where the
   /// engine copies the referenced span into the destination transit-ring
-  /// slot at the barrier — no owning object is ever constructed.
-  NF_REENTRANT void send_flat(PeerId to, TrafficCategory category,
-                              std::uint64_t bytes, PayloadRef flat);
-  NF_REENTRANT void send_flat(PeerId to, TrafficCategory category,
-                              std::uint64_t bytes, PayloadRef flat,
-                              std::span<const obs::LineageId> parents);
-
-  /// Flat send tagged with a (session, phase) pair (see send_tagged()).
+  /// slot — no owning object is ever constructed. `parents` is the causal
+  /// parent set: parents[0] becomes the primary parent, the rest are
+  /// recorded as sampled extra edges, and zero ids are ignored, so callers
+  /// push causes unconditionally.
   NF_REENTRANT void send_flat_tagged(PeerId to, TrafficCategory category,
                                      std::uint64_t bytes, PayloadRef flat,
                                      SessionId session, PhaseId phase,
                                      std::span<const obs::LineageId> parents);
 
-  /// Queues a message for delivery at the next round (later under the
-  /// link model); its bytes are metered at the round barrier.
-  NF_REENTRANT void send(PeerId to, TrafficCategory category,
-                         std::uint64_t bytes, std::any payload = {});
-
-  /// As send(), with an explicit causal parent set replacing the implicit
-  /// cause() — for components whose sends merge several arrivals (e.g. a
-  /// convergecast forward, a gossip share). parents[0] becomes the primary
-  /// parent; the rest are recorded as sampled extra edges. Zero ids are
-  /// ignored, so callers push causes unconditionally.
-  NF_REENTRANT void send(PeerId to, TrafficCategory category,
-                         std::uint64_t bytes, std::any payload,
-                         std::span<const obs::LineageId> parents);
-
-  /// As send(), tagging the envelope with a (session, phase) pair so a
-  /// SessionMux (net/session.h) can route it to the right Phase component.
-  NF_REENTRANT void send_tagged(PeerId to, TrafficCategory category,
-                                std::uint64_t bytes, std::any payload,
-                                SessionId session, PhaseId phase);
-
-  /// Tagged send with an explicit causal parent set (see the untagged
-  /// overload). The session runtime uses this to thread the replayed
-  /// envelope's own lineage through buffered-phase replays.
+  /// As send_flat_tagged(), shipping an owning `std::any` payload (the
+  /// typed-phase pipeline, net::TypedPhase).
   NF_REENTRANT void send_tagged(PeerId to, TrafficCategory category,
                                 std::uint64_t bytes, std::any payload,
                                 SessionId session, PhaseId phase,
@@ -195,54 +175,15 @@ class Context {
   obs::LineageId cause_ = obs::kNoLineage;
 };
 
-/// A distributed protocol: one instance drives all peers (per-peer state
-/// lives inside the protocol, indexed by the dense peer id).
-///
-/// Sharded execution: on_round/on_message for peers of different shards run
-/// concurrently. A protocol is shard-safe iff callbacks for peer p touch
-/// only p's slots in dense per-peer arenas (common/arena.h) plus, at most,
-/// commutative atomic accumulators. Every protocol in this library is
-/// shard-safe; the full authoring contract is in DESIGN.md.
-class Protocol {
- public:
-  virtual ~Protocol() = default;
-
-  /// Called once per run() on the engine thread before the first round;
-  /// size per-peer arenas here.
-  NF_ENGINE_THREAD virtual void on_run_start(const Overlay& /*overlay*/) {}
-
-  /// Called once per round on the engine thread, after churn and before
-  /// any delivery or tick — the place for whole-round bookkeeping that
-  /// must not live in per-peer callbacks (e.g. a gossip round counter).
-  NF_ENGINE_THREAD virtual void on_round_begin(std::uint64_t /*round*/) {}
-
-  /// Called once per alive peer per round, after message delivery.
-  NF_SHARD_CONTEXT virtual void on_round(Context& /*ctx*/) {}
-
-  /// Called for each envelope delivered to an alive peer.
-  NF_SHARD_CONTEXT virtual void on_message(Context& /*ctx*/,
-                                           Envelope&& /*env*/) {}
-
-  /// Called once per run() on the engine thread after the final round —
-  /// quiescence or max_rounds. Close out bookkeeping that would otherwise
-  /// need one more round boundary (e.g. trace spans for work that finished
-  /// in the very last round).
-  NF_ENGINE_THREAD virtual void on_run_end() {}
-
-  /// Engine stops when no messages are in flight and the protocol is idle.
-  /// Polled on the engine thread, but implementations must be pure reads.
-  NF_REENTRANT [[nodiscard]] virtual bool active() const { return false; }
-};
-
 class Engine {
  public:
   Engine(Overlay& overlay, TrafficMeter& meter);
 
-  /// Runs `protocol` until quiescence (no messages in flight, protocol not
-  /// active) or `max_rounds`, whichever first. Returns rounds executed.
-  /// Churn events in `schedule` whose round falls inside the run are applied
-  /// at the start of the matching round.
-  NF_ENGINE_THREAD std::uint64_t run(Protocol& protocol,
+  /// Runs `mux` until quiescence (no messages in flight, every phase of
+  /// every session done) or `max_rounds`, whichever first. Returns rounds
+  /// executed. Churn events in `schedule` whose round falls inside the run
+  /// are applied at the start of the matching round.
+  NF_ENGINE_THREAD std::uint64_t run(SessionMux& mux,
                                      std::uint64_t max_rounds,
                                      const ChurnSchedule* schedule = nullptr);
 
@@ -376,7 +317,7 @@ class Engine {
 
   NF_ENGINE_THREAD void predispatch(std::vector<Outgoing>& inbox,
                                     const ShardPlan& plan);
-  NF_SHARD_CONTEXT void run_shard(Protocol& protocol, std::uint32_t shard,
+  NF_SHARD_CONTEXT void run_shard(SessionMux& mux, std::uint32_t shard,
                                   const ShardPlan& plan,
                                   std::uint64_t tick_base);
   NF_ENGINE_THREAD NF_STEADY_NOALLOC void merge_and_finalize();

@@ -1,18 +1,19 @@
 // Message envelope carried by the round engine.
 //
-// Payloads travel one of two ways. Hot-path protocols encode into a slab
-// arena and attach a flat `PayloadRef` (net/payload.h) — a non-owning
-// (slab, offset, length) view the engine copies as a span across slab
-// lifetimes; receivers resolve it to bytes via Context::payload_bytes().
-// Legacy protocols may still ship an owning `std::any` payload. `bytes` is
+// Payloads travel one of two ways. Flat phases (net::FlatPhase — every
+// protocol but the typed convergecast) encode into a slab arena and attach
+// a flat `PayloadRef` (net/payload.h) — a non-owning (slab, offset, length)
+// view the engine copies as a span across slab lifetimes; receivers
+// resolve it to bytes via Context::payload_bytes(). Typed phases
+// (net::TypedPhase) still ship an owning `std::any` payload. `bytes` is
 // the *modelled* wire size of the payload under the configured WireSizes —
 // the simulator charges exactly what the protocol specification says the
 // message costs, independent of the in-memory representation.
 //
-// Session tags: traffic produced through the session runtime (net/session.h)
-// additionally carries the (session, phase) pair that routes it to the right
-// Phase component inside a SessionMux. Untagged traffic — plain protocols,
-// engine-internal ACKs — keeps `session == kNoSession`. The tags ride the
+// Session tags: all protocol traffic is produced through the session
+// runtime (net/session.h) and carries the (session, phase) pair that routes
+// it to the right Phase component inside a SessionMux. Only the engine's
+// own ACKs travel untagged, with `session == kNoSession`. The tags ride the
 // envelope itself (not a nested payload wrapper) so the reliability layer
 // retransmits them untouched and send probes can attribute every
 // transmission to its session.
@@ -33,7 +34,7 @@ using SessionId = std::uint32_t;
 /// Index of a phase within its session's phase list.
 using PhaseId = std::uint32_t;
 
-/// Envelope tag for traffic outside any session.
+/// Envelope tag for traffic outside any session (engine ACKs).
 inline constexpr SessionId kNoSession = 0xFFFFFFFFu;
 
 struct Envelope {

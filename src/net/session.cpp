@@ -115,9 +115,12 @@ void SessionMux::record_done_rounds() {
   }
 }
 
-void SessionMux::on_round_begin(std::uint64_t /*round*/) {
+void SessionMux::on_round_begin(std::uint64_t round) {
   record_done_rounds();
   ++rounds_seen_;
+  for (const auto& session : sessions_) {
+    for (const auto& ps : session->phases) ps->phase->on_round_begin(round);
+  }
   // Span-end detection runs on the engine thread: done() flips inside a
   // shard callback, is published by the round barrier, and the span closes
   // at the next round boundary (value 0 — spans measure rounds, not wall
@@ -197,7 +200,7 @@ void SessionMux::on_round(Context& ctx) {
           !ps.opened[ctx.self()]) {
         open_at(ctx, s, p, ctx.cause());
       }
-      if (ps.opened[ctx.self()] && !ps.phase->done()) {
+      if (ps.opened[ctx.self()]) {
         PhaseContext pctx(*this, ctx, s, p, ctx.cause());
         ps.phase->on_round(pctx);
       }

@@ -3,10 +3,10 @@
 //
 // A *session* is one logical protocol execution — e.g. one IFI query — made
 // of an ordered list of *phases* (convergecast up, multicast down, ...).
-// Classic orchestration runs each phase as its own Protocol on its own
-// Engine::run, which inserts a global barrier between phases: no peer may
-// enter phase k+1 until every peer finished phase k. The SessionMux removes
-// that barrier. It is a single net::Protocol that routes envelopes by their
+// Classic orchestration runs each phase on its own Engine::run, which
+// inserts a global barrier between phases: no peer may enter phase k+1 until
+// every peer finished phase k. The SessionMux removes that barrier. It is
+// the one object Engine::run drives: it routes envelopes by their
 // (session, phase) tags to Phase components, and phases open *per peer*: a
 // peer transitions the moment its own trigger arrives (a completed subtree,
 // a multicast reaching it), so independent subtrees pipeline freely and N
@@ -183,9 +183,13 @@ class PhaseContext {
   bool replay_payload_active_ = false;
 };
 
-/// One phase of a session. Implementations follow the same shard-safety
-/// contract as net::Protocol; callbacks run on the owning peer's shard
-/// except on_run_start (engine thread, before the first round).
+/// One phase of a session — the one way to write a protocol. Callbacks run
+/// on the owning peer's shard except on_run_start and on_round_begin
+/// (engine thread). Sharded execution runs callbacks for peers of different
+/// shards concurrently, so a phase is shard-safe iff callbacks for peer p
+/// touch only p's slots in dense per-peer arenas (common/arena.h) plus, at
+/// most, commutative atomic accumulators; the full authoring contract is in
+/// DESIGN.md §6c.
 class Phase {
  public:
   virtual ~Phase() = default;
@@ -193,11 +197,18 @@ class Phase {
   /// Size per-peer arenas here; called once per engine run.
   NF_ENGINE_THREAD virtual void on_run_start(const Overlay& /*overlay*/) {}
 
+  /// Called once per round on the engine thread, after churn and before any
+  /// delivery or tick — the place for whole-round bookkeeping that must not
+  /// live in per-peer callbacks (e.g. a gossip round counter).
+  NF_ENGINE_THREAD virtual void on_round_begin(std::uint64_t /*round*/) {}
+
   /// Fires exactly once per peer, when the phase opens there.
   NF_SHARD_CONTEXT virtual void on_start(PhaseContext& /*ctx*/) {}
 
-  /// Called once per alive peer per round while the phase is open at that
-  /// peer and not done. Most event-driven phases need no tick.
+  /// Called once per alive peer per round, after message delivery, while
+  /// the phase is open at that peer — done() or not, so a phase that must
+  /// still act in the round its done() flips (push-sum's last share) can.
+  /// Most event-driven phases need no tick.
   NF_SHARD_CONTEXT virtual void on_round(PhaseContext& /*ctx*/) {}
 
   /// Called for each envelope tagged with this phase.
@@ -266,7 +277,7 @@ class FlatPhase : public Phase {
 /// Routes tagged envelopes to per-session Phase components and drives their
 /// lifecycle. Register sessions and phases before Engine::run; the mux does
 /// not own the phases (they usually hold callbacks into caller state).
-class SessionMux final : public Protocol {
+class SessionMux final {
  public:
   explicit SessionMux(obs::Context* obs = nullptr) : obs_(obs) {}
 
@@ -279,13 +290,18 @@ class SessionMux final : public Protocol {
   /// (list position). The phase must outlive the mux's last run.
   PhaseId add_phase(SessionId session, Phase& phase, PhaseOptions options);
 
-  // net::Protocol — the engine-facing half.
-  NF_ENGINE_THREAD void on_run_start(const Overlay& overlay) override;
-  NF_ENGINE_THREAD void on_round_begin(std::uint64_t round) override;
-  NF_SHARD_CONTEXT void on_round(Context& ctx) override;
-  NF_SHARD_CONTEXT void on_message(Context& ctx, Envelope&& env) override;
-  NF_ENGINE_THREAD void on_run_end() override;
-  NF_REENTRANT [[nodiscard]] bool active() const override;
+  // The engine-facing half, called by Engine::run: on_round and on_message
+  // on shard workers, the rest on the engine thread. on_round_begin
+  // forwards to every phase; on_run_end fires once after the final round
+  // (quiescence or max_rounds) and closes spans of work done in that very
+  // round. The engine stops once active() is false and nothing is in
+  // flight.
+  NF_ENGINE_THREAD void on_run_start(const Overlay& overlay);
+  NF_ENGINE_THREAD void on_round_begin(std::uint64_t round);
+  NF_SHARD_CONTEXT void on_round(Context& ctx);
+  NF_SHARD_CONTEXT void on_message(Context& ctx, Envelope&& env);
+  NF_ENGINE_THREAD void on_run_end();
+  NF_REENTRANT [[nodiscard]] bool active() const;
 
   /// True iff every phase of `session` is done.
   [[nodiscard]] bool session_done(SessionId session) const;

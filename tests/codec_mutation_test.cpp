@@ -1,4 +1,5 @@
-// Seeded mutation test for the flat decoders (net/codec.h, plus the
+// Seeded mutation test for the flat decoders (net/codec.h, including the
+// control-plane codecs of maintenance, push-sum and request/reply, plus the
 // heavy-group set codec in core/netfilter.h).
 //
 // Every decoder that reads bytes off the wire gets a corpus of valid
@@ -18,6 +19,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/ids.h"
 #include "common/rng.h"
 #include "core/netfilter.h"
 
@@ -255,6 +257,165 @@ TEST(CodecMutationTest, DecodeHeavyGroups) {
               set.heavy);
   });
   EXPECT_GT(decoded, kMutationsPerDecoder / 20);
+}
+
+// Encodes through a slab writer, the way phases do, and copies the bytes.
+template <typename Encode>
+Bytes slab_bytes(Encode encode) {
+  SlabArena slab;
+  PayloadWriter w(slab, 0);
+  encode(w);
+  const std::span<const std::uint8_t> out = slab.view(0, w.written());
+  return Bytes(out.begin(), out.end());
+}
+
+TEST(CodecMutationTest, DecodeMaintenance) {
+  Rng rng(108);
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < 40; ++i) {
+    MaintenanceMsg msg;
+    msg.tag = static_cast<MaintenanceTag>(rng.below(4));
+    if (msg.tag == MaintenanceTag::kHeartbeat) {
+      msg.seq = random_magnitude(rng);
+      msg.depth = rng.below(4) == 0 ? kInfiniteDepth
+                                    : static_cast<std::uint32_t>(rng.below(64));
+    }
+    corpus.push_back(slab_bytes([&](PayloadWriter& w) {
+      encode_maintenance_to(w, msg);
+    }));
+  }
+  const int decoded = fuzz(8, corpus, [](auto in) {
+    const MaintenanceMsg msg = decode_maintenance(in);
+    const MaintenanceMsg again = decode_maintenance(
+        slab_bytes([&](PayloadWriter& w) { encode_maintenance_to(w, msg); }));
+    EXPECT_EQ(again.tag, msg.tag);
+    EXPECT_EQ(again.seq, msg.seq);
+    EXPECT_EQ(again.depth, msg.depth);
+  });
+  EXPECT_GT(decoded, kMutationsPerDecoder / 20);
+  // Tags past kDetach, an empty message and a tagged tail are rejected.
+  for (const Bytes& bad : {Bytes{4}, Bytes{0xFF}, Bytes{}, Bytes{1, 0}}) {
+    EXPECT_THROW((void)decode_maintenance(bad), ProtocolError);
+  }
+}
+
+TEST(CodecMutationTest, AddShareFrom) {
+  constexpr std::size_t kDim = 3;
+  Rng rng(109);
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<double> x(kDim);
+    for (double& v : x) v = static_cast<double>(random_magnitude(rng)) / 3.0;
+    corpus.push_back(slab_bytes([&](PayloadWriter& w) {
+      encode_share_to(w, x, 0.5, 0.25);
+    }));
+  }
+  const int decoded = fuzz(9, corpus, [](auto in) {
+    std::vector<double> x(kDim, 1.0);
+    double count = 1.0;
+    double weight = 1.0;
+    try {
+      add_share_from(in, x, count, weight);
+    } catch (const ProtocolError&) {
+      // A rejected share leaves the accumulators alone.
+      EXPECT_EQ(x, std::vector<double>(kDim, 1.0));
+      EXPECT_EQ(count, 1.0);
+      EXPECT_EQ(weight, 1.0);
+      throw;
+    }
+  });
+  EXPECT_GT(decoded, kMutationsPerDecoder / 20);
+  // A truncated or an over-long share is rejected.
+  Bytes share = corpus.front();
+  std::vector<double> x(kDim, 0.0);
+  double count = 0.0;
+  double weight = 0.0;
+  share.pop_back();
+  EXPECT_THROW(add_share_from(share, x, count, weight), ProtocolError);
+  share.push_back(0);
+  share.push_back(0);
+  EXPECT_THROW(add_share_from(share, x, count, weight), ProtocolError);
+}
+
+TEST(CodecMutationTest, MergeMapShareFrom) {
+  using Shares = ValueMap<ItemId, double>;
+  const auto random_shares = [](Rng& rng, std::uint64_t n) {
+    std::vector<std::pair<ItemId, double>> entries;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      entries.emplace_back(ItemId(random_magnitude(rng)),
+                           static_cast<double>(rng.below(1000)) / 8.0);
+    }
+    return Shares::from_unsorted(std::move(entries));
+  };
+  Rng rng(110);
+  const Shares base = random_shares(rng, 30);
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < 40; ++i) {
+    const Shares share = random_shares(rng, rng.below(20));
+    corpus.push_back(slab_bytes([&](PayloadWriter& w) {
+      encode_map_share_to(w, share, 0.5, 0.125);
+    }));
+  }
+  const int decoded = fuzz(10, corpus, [&base](auto in) {
+    Shares acc = base;
+    double count = 1.0;
+    double weight = 1.0;
+    try {
+      merge_map_share_from(in, acc, count, weight);
+    } catch (const ProtocolError&) {
+      EXPECT_EQ(acc, base);  // a rejected share leaves the map alone
+      EXPECT_EQ(count, 1.0);
+      EXPECT_EQ(weight, 1.0);
+      throw;
+    }
+    EXPECT_GE(acc.size(), base.size());
+  });
+  EXPECT_GT(decoded, kMutationsPerDecoder / 20);
+  // An entry count the payload cannot hold is rejected.
+  Bytes huge;
+  put_varint(huge, 3);
+  huge.resize(huge.size() + 2 * 9 + 16);
+  Shares acc;
+  double count = 0.0;
+  double weight = 0.0;
+  EXPECT_THROW(merge_map_share_from(huge, acc, count, weight), ProtocolError);
+}
+
+TEST(CodecMutationTest, DecodeRoute) {
+  // Requests (a bare route) and replies (a route, then the answer's pair
+  // run), as agg::RequestPhase and agg::ReplyPhase ship them.
+  Rng rng(111);
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<PeerId> route(rng.below(12));
+    for (PeerId& p : route) {
+      p = PeerId(static_cast<std::uint32_t>(random_magnitude(rng)));
+    }
+    const bool reply = rng.below(2) == 0;
+    const Map answer = random_map(rng, rng.below(10));
+    corpus.push_back(slab_bytes([&](PayloadWriter& w) {
+      encode_route_to(w, route);
+      if (reply) encode_pairs_to(w, answer);
+    }));
+  }
+  const int decoded = fuzz(11, corpus, [](auto in) {
+    const RouteFrame route = decode_route(in);
+    // The frame tiles the input: count, ids, then the rest.
+    EXPECT_EQ(route.rest.data() + route.rest.size(), in.data() + in.size());
+    EXPECT_EQ(route.ids.data() + route.ids.size(), route.rest.data());
+    EXPECT_LE(route.count, route.ids.size());
+    if (!route.rest.empty()) (void)pair_count(route.rest);
+  });
+  EXPECT_GT(decoded, kMutationsPerDecoder / 20);
+  // Route and reply counts the payload cannot hold are rejected.
+  Bytes route;
+  put_varint(route, 4);
+  route.push_back(1);
+  EXPECT_THROW((void)decode_route(route), ProtocolError);
+  Bytes pairs;
+  put_varint(pairs, 2);
+  pairs.push_back(1);
+  EXPECT_THROW((void)pair_count(pairs), ProtocolError);
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 
 #include "agg/convergecast.h"
 #include "agg/flat_phases.h"
+#include "agg/gossip.h"
 #include "agg/hierarchy.h"
+#include "agg/maintenance.h"
 #include "agg/multi_hierarchy.h"
 #include "core/gossip_netfilter.h"
 #include "core/netfilter.h"
@@ -803,6 +805,100 @@ TEST(DeterminismTest, CriticalPathsTerminateAtSessionDone) {
       EXPECT_EQ(serial_stats.sessions[i].netfilter.rounds_total,
                 stats.sessions[i].netfilter.rounds_total);
     }
+  }
+}
+
+// Hierarchy maintenance under churn: failures trigger ORPHAN waves and
+// re-attachment (ATTACH/DETACH) on a graph with redundant routes, a late
+// joiner attaches, and every peer heartbeats every round — the send stream
+// and every peer's DEPTH must not depend on the shard count.
+TEST(DeterminismTest, MaintenanceUnderChurnMatchesSerial) {
+  Rng topo_rng(21);
+  const Overlay base(net::random_connected(kPeers, 4.0, topo_rng));
+  const auto run_at = [&](std::uint32_t threads) {
+    Overlay overlay = base;
+    overlay.fail(PeerId(47));
+    TrafficMeter meter(kPeers);
+    const agg::Hierarchy initial =
+        agg::build_bfs_hierarchy(overlay, PeerId(0));
+    agg::HierarchyMaintenance::Config cfg;
+    cfg.timeout_rounds = 2;
+    agg::HierarchyMaintenance maint(initial, cfg);
+    Engine engine(overlay, meter);
+    engine.set_threads(threads);
+    RunTrace trace;
+    engine.set_send_probe([&trace](const Envelope& env) {
+      trace.sends.emplace_back(env.from.value(), env.to.value(),
+                               static_cast<int>(env.category), env.bytes);
+    });
+    net::ChurnSchedule churn;
+    churn.fail_at(3, PeerId(1));
+    churn.fail_at(3, PeerId(2));
+    churn.join_at(8, PeerId(47));
+    churn.fail_at(12, PeerId(30));
+    trace.rounds = net::run_phase(engine, maint, 40, nullptr, {}, &churn);
+    for (std::uint32_t p = 0; p < kPeers; ++p) {
+      trace.result.push_back(maint.depth(PeerId(p)));
+    }
+    trace.num_messages = meter.num_messages();
+    return trace;
+  };
+
+  const RunTrace serial = run_at(1);
+  ASSERT_FALSE(serial.sends.empty());
+  for (const std::uint32_t k : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << k);
+    const RunTrace sharded = run_at(k);
+    EXPECT_EQ(serial.sends, sharded.sends);
+    EXPECT_EQ(serial.rounds, sharded.rounds);
+    EXPECT_EQ(serial.result, sharded.result);
+    EXPECT_EQ(serial.num_messages, sharded.num_messages);
+  }
+}
+
+// Push-sum gossip: per-peer RNG streams pick the targets, so the send stream
+// and every estimate must be bit-identical at every shard count.
+TEST(DeterminismTest, PushSumGossipMatchesSerial) {
+  Rng topo_rng(22);
+  const Overlay base(net::random_connected(kPeers, 5.0, topo_rng));
+  const auto run_at = [&](std::uint32_t threads) {
+    Overlay overlay = base;
+    TrafficMeter meter(kPeers);
+    std::vector<std::vector<double>> initial;
+    for (std::uint32_t p = 0; p < kPeers; ++p) {
+      initial.push_back({static_cast<double>(p), 1.0});
+    }
+    agg::PushSumGossip::Config cfg;
+    cfg.rounds = 30;
+    agg::PushSumGossip gossip(std::move(initial), cfg);
+    Engine engine(overlay, meter);
+    engine.set_threads(threads);
+    RunTrace trace;
+    engine.set_send_probe([&trace](const Envelope& env) {
+      trace.sends.emplace_back(env.from.value(), env.to.value(),
+                               static_cast<int>(env.category), env.bytes);
+    });
+    trace.rounds = net::run_phase(engine, gossip, 100, nullptr);
+    std::vector<double> estimates;
+    for (std::uint32_t p = 0; p < kPeers; ++p) {
+      for (std::size_t i = 0; i < gossip.dimension(); ++i) {
+        estimates.push_back(gossip.estimate_sum(PeerId(p), i));
+      }
+    }
+    trace.num_messages = meter.num_messages();
+    return std::make_pair(std::move(trace), std::move(estimates));
+  };
+
+  const auto [serial, serial_estimates] = run_at(1);
+  ASSERT_FALSE(serial.sends.empty());
+  for (const std::uint32_t k : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << k);
+    const auto [sharded, estimates] = run_at(k);
+    EXPECT_EQ(serial.sends, sharded.sends);
+    EXPECT_EQ(serial.rounds, sharded.rounds);
+    EXPECT_EQ(serial.num_messages, sharded.num_messages);
+    // Exact, not approximate: the same floating-point sums in the same order.
+    EXPECT_EQ(serial_estimates, estimates);
   }
 }
 

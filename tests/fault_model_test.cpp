@@ -155,18 +155,25 @@ TEST(FaultModelTest, GivesUpOnDeadDestinations) {
   overlay.fail(PeerId(2));
 
   /// One message into the void.
-  class SendOnce final : public Protocol {
+  class SendOnce final : public FlatPhase {
    public:
-    void on_round(Context& ctx) override {
+    void on_round(PhaseContext& ctx) override {
       if (ctx.self() == PeerId(1) && !sent_) {
         sent_ = true;
-        ctx.send(PeerId(2), TrafficCategory::kControl, 4, std::any(1));
+        PayloadWriter w = ctx.flat_payload();
+        w.put_varint(1);
+        ctx.send_flat(PeerId(2), TrafficCategory::kControl, 4, w.finish());
       }
     }
+    [[nodiscard]] bool done() const override { return true; }
     bool sent_ = false;
+
+   protected:
+    void on_flat(PhaseContext&, std::span<const std::uint8_t>,
+                 PeerId) override {}
   };
   SendOnce proto;
-  const std::uint64_t rounds = engine.run(proto, 1000);
+  const std::uint64_t rounds = run_phase(engine, proto, 1000, nullptr);
   EXPECT_EQ(engine.given_up(), 1u);
   EXPECT_LT(rounds, 50u);  // terminates, does not spin to max_rounds
 }

@@ -28,7 +28,7 @@ TEST(PushSumTest, ConvergesToGlobalSum) {
   cfg.rounds = 80;
   PushSumGossip gossip(std::move(initial), cfg);
   Engine engine(overlay, meter);
-  engine.run(gossip, cfg.rounds + 2);
+  net::run_phase(engine, gossip, cfg.rounds + 2, nullptr);
   for (std::uint32_t p = 0; p < 100; ++p) {
     EXPECT_NEAR(gossip.estimate_sum(PeerId(p), 0), truth, truth * 0.01)
         << "peer " << p;
@@ -47,7 +47,7 @@ TEST(PushSumTest, MassIsConserved) {
   Engine engine(overlay, meter);
   // The run drains in-flight shares after the last active round, so the
   // resident mass must equal the initial global mass exactly.
-  engine.run(gossip, cfg.rounds + 2);
+  net::run_phase(engine, gossip, cfg.rounds + 2, nullptr);
   EXPECT_NEAR(gossip.total_mass(0), 100.0, 1e-9);
 }
 
@@ -63,7 +63,7 @@ TEST(PushSumTest, MultiDimensionalVectorsConvergePerCoordinate) {
   cfg.rounds = 80;
   PushSumGossip gossip(std::move(initial), cfg);
   Engine engine(overlay, meter);
-  engine.run(gossip, cfg.rounds + 2);
+  net::run_phase(engine, gossip, cfg.rounds + 2, nullptr);
   EXPECT_NEAR(gossip.estimate_sum(PeerId(5), 0), 60.0, 1.0);
   EXPECT_NEAR(gossip.estimate_sum(PeerId(5), 1), 60.0, 1.5);  // 20*(0+1+2)
 }
@@ -79,7 +79,7 @@ TEST(PushSumTest, TrafficScalesWithDimensionAndRounds) {
   cfg.weight_bytes = 4;
   PushSumGossip gossip(std::move(initial), cfg);
   Engine engine(overlay, meter);
-  engine.run(gossip, cfg.rounds + 2);
+  net::run_phase(engine, gossip, cfg.rounds + 2, nullptr);
   // Each peer sends one message of (10+1)*4 + 4 bytes per round.
   const std::uint64_t per_msg = 48;
   EXPECT_EQ(meter.total(net::TrafficCategory::kGossip) % per_msg, 0u);
@@ -100,7 +100,7 @@ TEST(PushSumTest, SpreadShrinksWithMoreRounds) {
     cfg.rounds = rounds;
     PushSumGossip gossip(std::move(initial), cfg);
     Engine engine(overlay, meter);
-    engine.run(gossip, cfg.rounds + 2);
+    net::run_phase(engine, gossip, cfg.rounds + 2, nullptr);
     return gossip.relative_spread(0);
   };
   const double early = spread_after(8);

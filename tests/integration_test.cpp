@@ -73,7 +73,7 @@ TEST(IntegrationTest, RepairThenRunStaysExact) {
   Engine engine(overlay, meter);
   ChurnSchedule churn;
   churn.fail_at(2, victim);
-  engine.run(maint, 60, &churn);
+  net::run_phase(engine, maint, 60, nullptr, {}, &churn);
   ASSERT_TRUE(maint.stabilized(overlay));
   const Hierarchy repaired = maint.snapshot(overlay);
   repaired.validate(overlay);

@@ -39,7 +39,7 @@ TEST(MaintenanceTest, StableNetworkStaysStable) {
   Fixture fx(net::random_tree(50, 3, rng));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
   Engine engine(fx.overlay, fx.meter);
-  engine.run(maint, 20);
+  net::run_phase(engine, maint, 20, nullptr);
   EXPECT_TRUE(maint.stabilized(fx.overlay));
   const Hierarchy snap = maint.snapshot(fx.overlay);
   snap.validate(fx.overlay);
@@ -54,7 +54,7 @@ TEST(MaintenanceTest, HeartbeatsFlowEveryRound) {
   Fixture fx(net::random_tree(10, 3, rng));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
   Engine engine(fx.overlay, fx.meter);
-  engine.run(maint, 5);
+  net::run_phase(engine, maint, 5, nullptr);
   // Every peer heartbeats all neighbors every round: 2 * edges * rounds
   // messages (minus the last round still in flight).
   EXPECT_GT(fx.meter.num_messages(), 2u * 9u * 3u);
@@ -76,7 +76,7 @@ TEST(MaintenanceTest, LeafFailureNeedsNoRepair) {
   }
   ChurnSchedule churn;
   churn.fail_at(3, leaf);
-  engine.run(maint, 30, &churn);
+  net::run_phase(engine, maint, 30, nullptr, {}, &churn);
   EXPECT_TRUE(maint.stabilized(fx.overlay));
   const Hierarchy snap = maint.snapshot(fx.overlay);
   snap.validate(fx.overlay);
@@ -96,7 +96,7 @@ TEST(MaintenanceTest, InternalFailureRepairsWhenRouteExists) {
   Engine engine(fx.overlay, fx.meter);
   ChurnSchedule churn;
   churn.fail_at(3, PeerId(1));  // internal node on one side of the ring
-  engine.run(maint, 60, &churn);
+  net::run_phase(engine, maint, 60, nullptr, {}, &churn);
   EXPECT_TRUE(maint.stabilized(fx.overlay));
   const Hierarchy snap = maint.snapshot(fx.overlay);
   snap.validate(fx.overlay);
@@ -119,7 +119,7 @@ TEST(MaintenanceTest, JoiningPeerAttaches) {
   Engine engine(overlay, meter);
   ChurnSchedule churn;
   churn.join_at(3, PeerId(4));
-  engine.run(maint, 30, &churn);
+  net::run_phase(engine, maint, 30, nullptr, {}, &churn);
   EXPECT_TRUE(maint.stabilized(overlay));
   const Hierarchy snap = maint.snapshot(overlay);
   snap.validate(overlay);
@@ -189,7 +189,7 @@ TEST_P(MaintenanceChurnTest, RandomChurnConvergesOnWellConnectedGraphs) {
   const ChurnSchedule churn =
       connected_random_failures(fx.overlay, 2, 6, fail_prob, PeerId(0), rng);
   ASSERT_FALSE(churn.empty());
-  engine.run(maint, 100, &churn);
+  net::run_phase(engine, maint, 100, nullptr, {}, &churn);
 
   ASSERT_TRUE(alive_connected(fx.overlay, PeerId(0)));
   EXPECT_TRUE(maint.stabilized(fx.overlay));
@@ -213,7 +213,7 @@ TEST(MaintenanceTest, DepthCountersMatchSnapshotAfterRepair) {
   Engine engine(fx.overlay, fx.meter);
   ChurnSchedule churn;
   churn.fail_at(2, PeerId(7));
-  engine.run(maint, 50, &churn);
+  net::run_phase(engine, maint, 50, nullptr, {}, &churn);
   ASSERT_TRUE(maint.stabilized(fx.overlay));
   const Hierarchy snap = maint.snapshot(fx.overlay);
   for (std::uint32_t p = 0; p < 8; ++p) {

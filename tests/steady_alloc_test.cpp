@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "agg/flat_phases.h"
+#include "agg/gossip.h"
 #include "agg/hierarchy.h"
+#include "agg/maintenance.h"
 #include "common/alloc_hook.h"
 #include "common/rng.h"
 #include "net/engine.h"
@@ -113,6 +115,52 @@ TEST(SteadyAllocTest, WarmedStarOfLeavesAllocatesNothing) {
   ASSERT_TRUE(steady.complete());
   EXPECT_EQ(engine.steady_allocs(), 0u)
       << "leaf scratch path allocated on a warmed engine";
+}
+
+TEST(SteadyAllocTest, WarmedHeartbeatRunAllocatesNothing) {
+  // Hierarchy maintenance on a stable, loss-free overlay: every round each
+  // peer heartbeats all its neighbors and nobody repairs anything. The
+  // protocol instance carries on across both runs, as a deployment would.
+  ASSERT_TRUE(alloc_hook::armed());
+  Rng rng(13);
+  Overlay overlay(net::random_connected(kPeers, 4.0, rng));
+  TrafficMeter meter(overlay.num_peers());
+  const Hierarchy hierarchy = build_bfs_hierarchy(overlay, PeerId(0));
+  HierarchyMaintenance maint(hierarchy, HierarchyMaintenance::Config{});
+  Engine engine(overlay, meter);
+
+  net::run_phase(engine, maint, 10, nullptr);
+  engine.begin_steady_state();
+  net::run_phase(engine, maint, 10, nullptr);
+  EXPECT_TRUE(maint.stabilized(overlay));
+  EXPECT_EQ(engine.steady_allocs(), 0u)
+      << "heartbeats allocated on a warmed engine";
+}
+
+TEST(SteadyAllocTest, WarmedPushSumRunAllocatesNothing) {
+  // Push-sum gossip: one fixed-size share per peer per round. A fresh
+  // instance runs on the warmed engine, as the convergecast tests do.
+  ASSERT_TRUE(alloc_hook::armed());
+  Rng rng(14);
+  Overlay overlay(net::random_connected(kPeers, 4.0, rng));
+  TrafficMeter meter(overlay.num_peers());
+  Engine engine(overlay, meter);
+  const auto make_gossip = [&] {
+    PushSumGossip::Config cfg;
+    cfg.rounds = 20;
+    return PushSumGossip(
+        std::vector<std::vector<double>>(kPeers, std::vector<double>(8, 1.0)),
+        cfg);
+  };
+
+  PushSumGossip warm = make_gossip();
+  net::run_phase(engine, warm, 100, nullptr);
+  engine.begin_steady_state();
+  PushSumGossip steady = make_gossip();
+  net::run_phase(engine, steady, 100, nullptr);
+  EXPECT_EQ(steady.rounds_done(), 21u);
+  EXPECT_EQ(engine.steady_allocs(), 0u)
+      << "push-sum shares allocated on a warmed engine";
 }
 
 TEST(SteadyAllocTest, WarmedLinkStatsChargePathAllocatesNothing) {
