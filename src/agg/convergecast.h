@@ -12,9 +12,9 @@
 //   merge(T&, T&&)           combine a child's aggregate into the parent's
 //   wire_bytes(const T&)     modelled serialized size of one message
 //
-// Used with T = std::vector<Value> for item-group aggregates (phase 1),
-// T = ValueMap<ItemId> for candidate aggregation (phase 2), and scalar
-// pairs for the v / N bootstrap aggregates.
+// Used by the naive collector (T = LocalItems), the Misra-Gries and
+// partitioned baselines and bench/ablation_latency; netFilter's own phases
+// run on the flat counterparts in agg/flat_phases.h.
 //
 // ConvergecastPhase is a session-runtime component (net/session.h): it
 // initializes a peer when its phase opens there — so a convergecast can
@@ -23,6 +23,15 @@
 // it to net::run_phase with open_on_message = false (children's messages
 // wait for the parent's own contribution), then read complete(), result()
 // and sent_bytes() from the phase.
+//
+// Hand-off: T never crosses the wire as an object. A finished peer moves
+// its aggregate into its own hand-off slot and sends an envelope with an
+// empty payload, charged wire_bytes(T) all the same; the upstream peer's
+// delivery takes the aggregate out of the sender's slot. The sender fills
+// the slot in round r and never touches it again, the engine barrier orders
+// that write before the single receiver's read in round >= r+1, and
+// exactly-once delivery keeps retransmitted duplicates out — the one
+// cross-peer access DESIGN.md §6c allows.
 #pragma once
 
 #include <atomic>
@@ -35,6 +44,7 @@
 
 #include "agg/hierarchy.h"
 #include "common/arena.h"
+#include "common/capability.h"
 #include "common/error.h"
 #include "common/ids.h"
 #include "net/session.h"
@@ -42,15 +52,12 @@
 
 namespace nf::agg {
 
-/// Shard-safe: callbacks for peer p touch only state_[p]; `complete_` has a
-/// single writer (the root's shard) and is read at the round barrier.
-/// Messages are typed (net::TypedPhase<T>): a payload type error in caller
-/// code fails at compile time.
+/// Shard-safe: callbacks for peer p touch only state_[p] and p's own
+/// hand-off slot, plus the hand-off slot of the child whose delivery they
+/// handle (see the header comment); `complete_` has a single writer (the
+/// root's shard) and is read at the round barrier.
 template <typename T>
-// Legacy object-payload path; flat counterparts:
-// FlatAggregateConvergecastPhase / FlatPairsConvergecastPhase
-// (agg/flat_phases.h).
-class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat-payload-ok
+class ConvergecastPhase final : public net::Phase {
  public:
   using LocalFn = std::function<T(PeerId)>;
   using MergeFn = std::function<void(T&, T&&)>;
@@ -68,7 +75,13 @@ class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat
         merge_(std::move(merge)),
         wire_bytes_(std::move(wire_bytes)),
         obs_(obs),
-        state_(hierarchy.num_peers()) {}
+        state_(hierarchy.num_peers()),
+        handoff_(hierarchy.num_peers()) {
+    if (obs != nullptr) {
+      obs_merges_ = &obs->registry.counter("convergecast/merges");
+      obs_msg_bytes_ = &obs->registry.histogram("convergecast/msg_bytes");
+    }
+  }
 
   void set_on_complete(CompleteFn on_complete) {
     on_complete_ = std::move(on_complete);
@@ -109,17 +122,22 @@ class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat
   }
 
  protected:
-  void on_payload(net::PhaseContext& ctx, T&& child,
-                  PeerId /*from*/) override {
+  NF_SHARD_CONTEXT void on_flat(net::PhaseContext& ctx,
+                                std::span<const std::uint8_t> bytes,
+                                PeerId from) override {
+    ensure(bytes.empty(), "convergecast message carries a payload");
+    std::optional<T>& child = handoff_[from];
+    ensure(child.has_value(), "convergecast message without a hand-off");
     State& st = state_[ctx.self().value()];
     ensure(st.acc.has_value(), "convergecast message before initialization");
     ensure(st.pending > 0, "unexpected convergecast message");
     if (obs_ != nullptr) {
-      obs_->registry.counter("convergecast/merges").add(1);
+      obs_merges_->add(1);
       obs_->tracer.record(obs::EventKind::kMerge, "convergecast.merge",
                           ctx.self().value(), st.sent_bytes);
     }
-    merge_(*st.acc, std::move(child));
+    merge_(*st.acc, std::move(*child));
+    child.reset();
     --st.pending;
     st.parents.push_back(ctx.cause());
     maybe_forward(ctx, st);
@@ -146,15 +164,13 @@ class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat
     }
     st.sent = true;
     st.sent_bytes = wire_bytes_(*st.acc);
-    if (obs_ != nullptr) {
-      obs_->registry.histogram("convergecast/msg_bytes")
-          .observe(st.sent_bytes);
-    }
-    // The merged message descends from every contribution it carries.
-    this->send(ctx, hierarchy_.upstream(p), category_, st.sent_bytes,
-               std::move(*st.acc),
-               std::span<const obs::LineageId>(st.parents));
+    if (obs_ != nullptr) obs_msg_bytes_->observe(st.sent_bytes);
+    handoff_[p] = std::move(st.acc);
     st.acc.reset();
+    // The merged message descends from every contribution it carries.
+    ctx.send_flat(hierarchy_.upstream(p), category_, st.sent_bytes,
+                  net::PayloadRef{},
+                  std::span<const obs::LineageId>(st.parents));
     st.parents.clear();
     st.parents.shrink_to_fit();
   }
@@ -165,8 +181,12 @@ class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat
   MergeFn merge_;
   WireBytesFn wire_bytes_;
   obs::Context* obs_;
+  obs::Counter* obs_merges_ = nullptr;
+  obs::Histogram* obs_msg_bytes_ = nullptr;
   CompleteFn on_complete_;
   PeerArena<State> state_;
+  /// Peer p's finished aggregate, written by p once and taken by upstream(p).
+  PeerArena<std::optional<T>> handoff_;
   std::atomic<bool> complete_{false};
 };
 

@@ -2,11 +2,11 @@
 // aggregate convergecast, the pair-list convergecast and the multicast
 // (the library's only multicast).
 //
-// Where the typed ConvergecastPhase<T> (agg/convergecast.h) ships owning
-// C++ objects through `std::any` envelopes, these phases encode every
-// message into the engine's slab arenas with the varint/delta codecs
-// (net/codec.h) and ship a PayloadRef. Receivers decode straight from the
-// delivered span; forwards are span copies. Combined with the
+// Where the typed ConvergecastPhase<T> (agg/convergecast.h) hands its
+// aggregate object to the upstream peer through phase state, these phases
+// encode every message into the engine's slab arenas with the varint/delta
+// codecs (net/codec.h) and ship a PayloadRef. Receivers decode straight
+// from the delivered span; forwards are span copies. Combined with the
 // structure-of-arrays state below, a warmed loss-free run of the aggregate
 // convergecast and the multicast performs zero heap allocations inside the
 // round loop (tests/steady_alloc_test.cpp).
@@ -59,7 +59,7 @@ namespace nf::agg {
 /// group sums of netFilter phase 1), flat on the wire and SoA in memory.
 /// Shard-safe: callbacks for peer p touch only p's row/slots; `complete_`
 /// has a single writer (the root's shard) and is read at the barrier.
-class FlatAggregateConvergecastPhase final : public net::FlatPhase {
+class FlatAggregateConvergecastPhase final : public net::Phase {
  public:
   /// Fills peer p's zeroed row with its local contribution.
   using LocalFn = std::function<void(PeerId, std::span<std::uint64_t>)>;
@@ -116,6 +116,7 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
     }
     parent_offset_[n] = off;
     sums_.assign(rows, width_, 0);
+    // nf-lint: nf-envelope-discipline-ok (prefill; sends read set slots)
     parents_.assign(off, obs::kNoLineage);
   }
 
@@ -244,7 +245,7 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
 /// held for a later k-way merge. Each merge writes a fresh map buffer, so
 /// this phase is outside the zero-alloc guarantee (DESIGN.md §6f), but no
 /// payload object ever crosses the wire.
-class FlatPairsConvergecastPhase final : public net::FlatPhase {
+class FlatPairsConvergecastPhase final : public net::Phase {
  public:
   using Pairs = ValueMap<ItemId, Value>;
   using LocalFn = std::function<Pairs(PeerId)>;
@@ -290,6 +291,7 @@ class FlatPairsConvergecastPhase final : public net::FlatPhase {
                      hierarchy_.downstream(PeerId(p)).size());
     }
     parent_offset_[n] = off;
+    // nf-lint: nf-envelope-discipline-ok (prefill; sends read set slots)
     parents_.assign(off, obs::kNoLineage);
   }
 
@@ -395,7 +397,7 @@ class FlatPairsConvergecastPhase final : public net::FlatPhase {
 /// hierarchy edge carries one copy, charged the modelled `wire_bytes` (not
 /// the encoded length): netFilter's heavy-group dissemination, the
 /// partitioned slice multicast and the query announcement all ride it.
-class FlatMulticastPhase final : public net::FlatPhase {
+class FlatMulticastPhase final : public net::Phase {
  public:
   /// Runs at every member (including the root) exactly once, when the
   /// payload reaches that peer.

@@ -51,7 +51,7 @@ NF_REENTRANT [[nodiscard]] std::optional<PeerId> random_alive_neighbor(
 /// Shard-safe: per-peer state lives in dense arenas touched only by that
 /// peer's callbacks; the round counter advances in on_round_begin on the
 /// engine thread.
-class PushSumPhase : public net::FlatPhase {
+class PushSumPhase : public net::Phase {
  public:
   void on_run_start(const net::Overlay& overlay) override;
   void on_round_begin(std::uint64_t round) override;

@@ -48,7 +48,7 @@
 
 namespace nf::agg {
 
-class HierarchyMaintenance final : public net::FlatPhase {
+class HierarchyMaintenance final : public net::Phase {
  public:
   struct Config {
     /// Modelled size of one heartbeat: sender id + DEPTH + SEQ.

@@ -44,7 +44,7 @@ namespace nf::agg {
 /// Request half: the requester originates when the phase opens there and
 /// each hop forwards upstream, appending itself to the route. Shard-safe:
 /// the route and the arrival flag have one writer, the root's shard.
-class RequestPhase final : public net::FlatPhase {
+class RequestPhase final : public net::Phase {
  public:
   /// Fires at the root, inside the run, the moment the request arrives —
   /// the hook the session's next phase chains from.
@@ -118,7 +118,7 @@ class RequestPhase final : public net::FlatPhase {
 /// may open at every peer (kAllPeers) or on demand. Shard-safe: the
 /// installed route and answer are read only at the root, and the answer is
 /// overwritten with the delivered copy only at the requester, rounds later.
-class ReplyPhase final : public net::FlatPhase {
+class ReplyPhase final : public net::Phase {
  public:
   ReplyPhase(const Hierarchy& hierarchy, PeerId requester,
              std::uint64_t pair_bytes)

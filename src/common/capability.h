@@ -15,7 +15,7 @@
 // Place a capability like an attribute, before the declaration:
 //
 //   NF_ENGINE_THREAD void merge_and_finalize();
-//   NF_SHARD_CONTEXT void on_message(PhaseContext& ctx, Envelope&& env) override;
+//   NF_SHARD_CONTEXT void on_start(PhaseContext& ctx) override;
 //   NF_ENGINE_THREAD NF_STEADY_NOALLOC void admit(Outgoing&& out, ...);
 //
 // Semantics (enforced by nf-lint):
@@ -31,7 +31,7 @@
 //    by construction). The reachability walk does not descend into it; its
 //    own body is audited where it is defined.
 //  * NF_STEADY_NOALLOC — on the zero-alloc steady-state hot path
-//    (FlatPhase::on_flat, the barrier merge). No allocating construct —
+//    (Phase::on_flat, the barrier merge). No allocating construct —
 //    `new`, growing container ops without a reserve in sight,
 //    std::string/std::function temporaries, `throw` — may be reachable
 //    from it (nf-cap-noalloc); tests/steady_alloc_test.cpp is the dynamic

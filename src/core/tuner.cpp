@@ -45,8 +45,8 @@ TunedSetting tune(const ItemSource& items, const agg::Hierarchy& hierarchy,
 
   // Bootstrap aggregates for v (and N, which the hierarchy already knows):
   // each peer contributes a single value (paper §IV). Charged one aggregate
-  // field per non-root member; the full engine-driven version of this pass
-  // lives in agg/bootstrap.h.
+  // field per non-root member, the bytes a scalar convergecast of v would
+  // send; the sum is taken directly instead of running that convergecast.
   TunedSetting out;
   for (std::uint32_t p = 0; p < items.num_peers(); ++p) {
     const PeerId id(p);

@@ -40,10 +40,10 @@ std::span<const std::uint8_t> Context::payload_bytes(
   return engine_.resolve(env.flat);
 }
 
-void Context::push_send(PeerId to, TrafficCategory category,
-                        std::uint64_t bytes, std::any payload, PayloadRef flat,
-                        SessionId session, PhaseId phase,
-                        std::span<const obs::LineageId> parents) {
+void Context::send_flat_tagged(PeerId to, TrafficCategory category,
+                               std::uint64_t bytes, PayloadRef flat,
+                               SessionId session, PhaseId phase,
+                               std::span<const obs::LineageId> parents) {
   KeyedSend ks{.major = major_,
                .minor = next_minor_++,
                .is_ack = 0,
@@ -52,7 +52,6 @@ void Context::push_send(PeerId to, TrafficCategory category,
                                     .to = to,
                                     .category = category,
                                     .bytes = bytes,
-                                    .payload = std::move(payload),
                                     .flat = flat,
                                     .session = session,
                                     .phase = phase}};
@@ -74,21 +73,6 @@ void Context::push_send(PeerId to, TrafficCategory category,
   // its capacity persists after warm-up (steady_alloc_test is the gate).
   // nf-lint: nf-cap-noalloc-ok
   outbox_->push_back(std::move(ks));
-}
-
-void Context::send_tagged(PeerId to, TrafficCategory category,
-                          std::uint64_t bytes, std::any payload,
-                          SessionId session, PhaseId phase,
-                          std::span<const obs::LineageId> parents) {
-  push_send(to, category, bytes, std::move(payload), PayloadRef{}, session,
-            phase, parents);
-}
-
-void Context::send_flat_tagged(PeerId to, TrafficCategory category,
-                               std::uint64_t bytes, PayloadRef flat,
-                               SessionId session, PhaseId phase,
-                               std::span<const obs::LineageId> parents) {
-  push_send(to, category, bytes, {}, flat, session, phase, parents);
 }
 
 Engine::Engine(Overlay& overlay, TrafficMeter& meter)
@@ -316,7 +300,7 @@ void Engine::run_shard(SessionMux& mux, std::uint32_t shard,
     Context ctx(*this, d.out.envelope.to, &sc.outbox, &shard_slabs_[shard],
                 shard, /*major=*/d.index, /*first_minor=*/1,
                 /*cause=*/d.out.envelope.lineage);
-    mux.on_message(ctx, std::move(d.out.envelope));
+    mux.on_message(ctx, d.out.envelope);
   }
   for (std::uint32_t peer = plan.begin(shard); peer < plan.end(shard);
        ++peer) {

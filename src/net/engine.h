@@ -119,13 +119,6 @@ class Context {
                                      SessionId session, PhaseId phase,
                                      std::span<const obs::LineageId> parents);
 
-  /// As send_flat_tagged(), shipping an owning `std::any` payload (the
-  /// typed-phase pipeline, net::TypedPhase).
-  NF_REENTRANT void send_tagged(PeerId to, TrafficCategory category,
-                                std::uint64_t bytes, std::any payload,
-                                SessionId session, PhaseId phase,
-                                std::span<const obs::LineageId> parents);
-
  private:
   friend class Engine;
 
@@ -158,12 +151,6 @@ class Context {
         major_(major),
         next_minor_(first_minor),
         cause_(cause) {}
-
-  NF_REENTRANT void push_send(PeerId to, TrafficCategory category,
-                              std::uint64_t bytes, std::any payload,
-                              PayloadRef flat, SessionId session,
-                              PhaseId phase,
-                              std::span<const obs::LineageId> parents);
 
   Engine& engine_;
   PeerId self_;

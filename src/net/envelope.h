@@ -1,14 +1,15 @@
 // Message envelope carried by the round engine.
 //
-// Payloads travel one of two ways. Flat phases (net::FlatPhase — every
-// protocol but the typed convergecast) encode into a slab arena and attach
-// a flat `PayloadRef` (net/payload.h) — a non-owning (slab, offset, length)
-// view the engine copies as a span across slab lifetimes; receivers
-// resolve it to bytes via Context::payload_bytes(). Typed phases
-// (net::TypedPhase) still ship an owning `std::any` payload. `bytes` is
-// the *modelled* wire size of the payload under the configured WireSizes —
-// the simulator charges exactly what the protocol specification says the
-// message costs, independent of the in-memory representation.
+// A payload travels as a flat `PayloadRef` (net/payload.h): a non-owning
+// (slab, offset, length) view into the sender's slab arena, which the
+// engine copies as a span across slab lifetimes; the session runtime
+// resolves it to bytes for Phase::on_flat. An envelope owns nothing — it is
+// trivially copyable, asserted below, so no per-message object can ride it.
+// The typed convergecast (agg/convergecast.h) ships an empty ref and hands
+// its aggregate off through phase state. `bytes` is the *modelled* wire size
+// of the payload under the configured WireSizes — the simulator charges
+// exactly what the protocol specification says the message costs,
+// independent of the in-memory representation.
 //
 // Session tags: all protocol traffic is produced through the session
 // runtime (net/session.h) and carries the (session, phase) pair that routes
@@ -19,8 +20,8 @@
 // transmission to its session.
 #pragma once
 
-#include <any>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/ids.h"
 #include "net/metrics.h"
@@ -42,7 +43,6 @@ struct Envelope {
   PeerId to;
   TrafficCategory category{TrafficCategory::kControl};
   std::uint64_t bytes{0};
-  std::any payload{};
   /// Flat slab-backed payload (kNoSlab when the message has none). The
   /// engine rewrites this ref at the merge barrier when it copies the span
   /// into the destination transit-ring slot's slab.
@@ -55,5 +55,8 @@ struct Envelope {
   /// Stays kNoLineage for ACKs and runs without an obs context.
   obs::LineageId lineage{obs::kNoLineage};
 };
+
+static_assert(std::is_trivially_copyable_v<Envelope>,
+              "envelopes carry flat payload refs, never owning objects");
 
 }  // namespace nf::net

@@ -39,7 +39,7 @@ namespace nf::net {
 /// into the shard slab — no payload object is ever reconstructed in flight.
 /// Shard-safe: the seen flags are a byte arena written only by the owning
 /// peer's callbacks; the reach/copy tallies are commutative atomics.
-class FlatFloodPhase final : public FlatPhase {
+class FlatFloodPhase final : public Phase {
  public:
   /// Receives the payload body (ttl stripped); valid for the callback only.
   using ReceiveFn =

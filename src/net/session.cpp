@@ -4,23 +4,6 @@
 
 namespace nf::net {
 
-void PhaseContext::send_raw(PeerId to, TrafficCategory category,
-                            std::uint64_t bytes, std::any payload) {
-  mux_.charge(session_, category, bytes);
-  // Explicitly thread this context's cause: during buffered replay it is
-  // the replayed envelope's lineage, which the engine Context cannot know.
-  ctx_.send_tagged(to, category, bytes, std::move(payload), session_, phase_,
-                   std::span<const obs::LineageId>(&cause_, 1));
-}
-
-void PhaseContext::send_raw(PeerId to, TrafficCategory category,
-                            std::uint64_t bytes, std::any payload,
-                            std::span<const obs::LineageId> parents) {
-  mux_.charge(session_, category, bytes);
-  ctx_.send_tagged(to, category, bytes, std::move(payload), session_, phase_,
-                   parents);
-}
-
 void PhaseContext::send_flat(PeerId to, TrafficCategory category,
                              std::uint64_t bytes, PayloadRef flat) {
   mux_.charge(session_, category, bytes);
@@ -176,15 +159,11 @@ void SessionMux::open_at(Context& ctx, SessionId s, PhaseId p,
     // keeps its own lineage as the cause, not the delivery that opened the
     // phase — sends it triggers point at the true causal parent.
     std::vector<BufferedEnvelope>& queue = ps.buffered[self];
-    for (BufferedEnvelope& buf : queue) {
+    for (const BufferedEnvelope& buf : queue) {
       PhaseContext rctx(*this, ctx, s, p, buf.env.lineage);
       // The slab slot the ref pointed into has been reclaimed; serve the
       // payload from the copy taken at buffering time.
-      if (buf.env.flat.valid()) {
-        rctx.replay_payload_ = buf.flat_bytes;
-        rctx.replay_payload_active_ = true;
-      }
-      ps.phase->on_message(rctx, std::move(buf.env));
+      ps.phase->on_flat(rctx, buf.flat_bytes, buf.env.from);
     }
     queue.clear();
     queue.shrink_to_fit();
@@ -208,7 +187,7 @@ void SessionMux::on_round(Context& ctx) {
   }
 }
 
-void SessionMux::on_message(Context& ctx, Envelope&& env) {
+void SessionMux::on_message(Context& ctx, const Envelope& env) {
   ensure(env.session != kNoSession, "untagged envelope reached a SessionMux");
   const SessionId s = env.session;
   const PhaseId p = env.phase;
@@ -217,14 +196,14 @@ void SessionMux::on_message(Context& ctx, Envelope&& env) {
   if (!ps.opened[self]) {
     if (!ps.options.open_on_message) {
       const std::span<const std::uint8_t> flat = ctx.payload_bytes(env);
-      ps.buffered[self].push_back(BufferedEnvelope{
-          std::move(env), {flat.begin(), flat.end()}});
+      ps.buffered[self].push_back(
+          BufferedEnvelope{env, {flat.begin(), flat.end()}});
       return;
     }
     open_at(ctx, s, p, env.lineage);
   }
   PhaseContext pctx(*this, ctx, s, p, env.lineage);
-  ps.phase->on_message(pctx, std::move(env));
+  ps.phase->on_flat(pctx, ctx.payload_bytes(env), env.from);
 }
 
 bool SessionMux::active() const {

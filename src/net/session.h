@@ -13,7 +13,7 @@
 // sessions share one engine run.
 //
 // Phase lifecycle at one peer: closed -> open (on_start fires exactly once)
-// -> handling on_message/on_round callbacks. Opening happens through one of
+// -> handling on_flat/on_round callbacks. Opening happens through one of
 //   - PhaseStart::kAllPeers: the mux opens the phase at every alive peer on
 //     its first tick (entry phases);
 //   - an earlier phase calling PhaseContext::open_phase() from a callback
@@ -34,7 +34,6 @@
 // state, so a mux run is bit-identical for any --threads=K.
 #pragma once
 
-#include <any>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -68,7 +67,7 @@ struct PhaseOptions {
   PhaseStart start = PhaseStart::kOnDemand;
   /// A message for a closed phase opens it (true) or is buffered until the
   /// phase opens (false). Buffering is the right choice when on_start must
-  /// initialize per-peer state that on_payload merges into.
+  /// initialize per-peer state that on_flat merges into.
   bool open_on_message = true;
   /// Phase name for trace spans; must be a string literal. Empty disables
   /// span events for this phase.
@@ -123,38 +122,19 @@ class PhaseContext {
   /// phase — so causality survives the buffering detour.
   NF_REENTRANT [[nodiscard]] obs::LineageId cause() const { return cause_; }
 
-  /// Sends `payload` tagged with this phase's (session, phase) and charges
-  /// it to the session's traffic tally. Prefer TypedPhase::send, which
-  /// type-checks the payload at compile time. The send inherits cause() as
-  /// its causal parent.
-  NF_REENTRANT void send_raw(PeerId to, TrafficCategory category,
-                             std::uint64_t bytes, std::any payload);
-
-  /// As send_raw(), with an explicit causal parent set — for sends that
-  /// merge several arrivals (convergecast forwards). Zero ids are ignored.
-  NF_REENTRANT void send_raw(PeerId to, TrafficCategory category,
-                             std::uint64_t bytes, std::any payload,
-                             std::span<const obs::LineageId> parents);
-
   /// A writer into the executing shard's outbox slab (Context::
   /// flat_payload()); pair with send_flat() from the same callback.
   NF_REENTRANT [[nodiscard]] PayloadWriter flat_payload() {
     return ctx_.flat_payload();
   }
 
-  /// Resolves a delivered envelope's flat payload. During buffered replay
-  /// the mux substitutes its owned copy of the bytes (the originating slab
-  /// slot has been reclaimed by then), so phases read payloads only through
-  /// this accessor, never through the raw ref.
-  NF_REENTRANT [[nodiscard]] std::span<const std::uint8_t> payload_bytes(
-      const Envelope& env) const {
-    return replay_payload_active_ ? replay_payload_ : ctx_.payload_bytes(env);
-  }
-
-  /// Flat tagged send, charged to the session's traffic tally. The hot-path
-  /// counterpart of send_raw(): ships a slab span, never an owning object.
+  /// Sends a flat payload tagged with this phase's (session, phase) and
+  /// charges it to the session's traffic tally. The send inherits cause()
+  /// as its causal parent.
   NF_REENTRANT void send_flat(PeerId to, TrafficCategory category,
                               std::uint64_t bytes, PayloadRef flat);
+  /// As above, with an explicit causal parent set — for sends that merge
+  /// several arrivals (convergecast forwards). Zero ids are ignored.
   NF_REENTRANT void send_flat(PeerId to, TrafficCategory category,
                               std::uint64_t bytes, PayloadRef flat,
                               std::span<const obs::LineageId> parents);
@@ -177,10 +157,6 @@ class PhaseContext {
   SessionId session_;
   PhaseId phase_;
   obs::LineageId cause_;
-  // Set by the mux while replaying a buffered envelope: payload_bytes()
-  // returns this owned copy instead of resolving the (stale) slab ref.
-  std::span<const std::uint8_t> replay_payload_;
-  bool replay_payload_active_ = false;
 };
 
 /// One phase of a session — the one way to write a protocol. Callbacks run
@@ -188,8 +164,9 @@ class PhaseContext {
 /// (engine thread). Sharded execution runs callbacks for peers of different
 /// shards concurrently, so a phase is shard-safe iff callbacks for peer p
 /// touch only p's slots in dense per-peer arenas (common/arena.h) plus, at
-/// most, commutative atomic accumulators; the full authoring contract is in
-/// DESIGN.md §6c.
+/// most, commutative atomic accumulators; the full authoring contract,
+/// including its one extension (a sender's hand-off slot, read once by its
+/// receiver a round later), is in DESIGN.md §6c.
 class Phase {
  public:
   virtual ~Phase() = default;
@@ -211,67 +188,20 @@ class Phase {
   /// Most event-driven phases need no tick.
   NF_SHARD_CONTEXT virtual void on_round(PhaseContext& /*ctx*/) {}
 
-  /// Called for each envelope tagged with this phase.
-  NF_SHARD_CONTEXT virtual void on_message(PhaseContext& ctx,
-                                           Envelope&& env) = 0;
+  /// Called for each envelope tagged with this phase, with its flat
+  /// payload resolved to bytes (the mux's owned copy on buffered replay);
+  /// `bytes` is valid for this callback only and `from` is the sending
+  /// peer. On the zero-alloc hot path, so overrides stay heap-free and
+  /// repeat both capability macros (nf-lint models no inheritance); the
+  /// typed convergecast, whose generic merges allocate, declares
+  /// NF_SHARD_CONTEXT only.
+  NF_SHARD_CONTEXT NF_STEADY_NOALLOC virtual void on_flat(
+      PhaseContext& ctx, std::span<const std::uint8_t> bytes,
+      PeerId from) = 0;
 
   /// Session-global completion. Polled on the engine thread; the engine
   /// stays alive until every phase of every session is done.
   NF_REENTRANT [[nodiscard]] virtual bool done() const = 0;
-};
-
-/// CRTP-free typed phase base: performs the single std::any_cast at the
-/// dispatch boundary so concrete phases exchange `M` values directly —
-/// payload type mismatches in phase code fail at compile time, not as a
-/// null any_cast at runtime.
-template <typename M>
-class TypedPhase : public Phase {
- public:
-  using Message = M;
-
-  NF_SHARD_CONTEXT void on_message(PhaseContext& ctx, Envelope&& env) final {
-    M* msg = std::any_cast<M>(&env.payload);
-    ensure(msg != nullptr, "session phase payload type mismatch");
-    on_payload(ctx, std::move(*msg), env.from);
-  }
-
- protected:
-  /// Typed delivery hook; `from` is the sending peer.
-  NF_SHARD_CONTEXT virtual void on_payload(PhaseContext& ctx, M&& msg,
-                                           PeerId from) = 0;
-
-  /// Typed send: only this phase's message type compiles.
-  NF_REENTRANT void send(PhaseContext& ctx, PeerId to,
-                         TrafficCategory category, std::uint64_t bytes,
-                         M msg) const {
-    ctx.send_raw(to, category, bytes, std::any(std::move(msg)));
-  }
-
-  /// Typed send with an explicit causal parent set (multi-parent merges).
-  NF_REENTRANT void send(PhaseContext& ctx, PeerId to,
-                         TrafficCategory category, std::uint64_t bytes, M msg,
-                         std::span<const obs::LineageId> parents) const {
-    ctx.send_raw(to, category, bytes, std::any(std::move(msg)), parents);
-  }
-};
-
-/// Base for hot-path phases whose messages are flat slab spans
-/// (net/payload.h): the dispatch boundary resolves the envelope's ref (or
-/// the mux's buffered copy) to bytes once, and concrete phases decode with
-/// the codecs in net/codec.h. No owning payload object exists at any point.
-class FlatPhase : public Phase {
- public:
-  NF_SHARD_CONTEXT void on_message(PhaseContext& ctx, Envelope&& env) final {
-    on_flat(ctx, ctx.payload_bytes(env), env.from);
-  }
-
- protected:
-  /// Flat delivery hook; `bytes` is valid for this callback only. Runs every
-  /// warmed steady-state round, so overrides must stay heap-free (and must
-  /// repeat both capability macros — nf-lint models no inheritance).
-  NF_SHARD_CONTEXT NF_STEADY_NOALLOC virtual void on_flat(
-      PhaseContext& ctx, std::span<const std::uint8_t> bytes,
-      PeerId from) = 0;
 };
 
 /// Routes tagged envelopes to per-session Phase components and drives their
@@ -299,7 +229,7 @@ class SessionMux final {
   NF_ENGINE_THREAD void on_run_start(const Overlay& overlay);
   NF_ENGINE_THREAD void on_round_begin(std::uint64_t round);
   NF_SHARD_CONTEXT void on_round(Context& ctx);
-  NF_SHARD_CONTEXT void on_message(Context& ctx, Envelope&& env);
+  NF_SHARD_CONTEXT void on_message(Context& ctx, const Envelope& env);
   NF_ENGINE_THREAD void on_run_end();
   NF_REENTRANT [[nodiscard]] bool active() const;
 

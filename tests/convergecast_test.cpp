@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -157,6 +158,57 @@ TEST(ConvergecastTest, ResultBeforeCompletionThrows) {
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   EXPECT_THROW((void)cast.result(), InvalidArgument);
+}
+
+/// Passes every convergecast delivery on with one argument forged: the
+/// sender replaced by the receiver itself (which has handed nothing off
+/// yet), or the empty payload replaced by one byte.
+class ForgedDelivery final : public net::Phase {
+ public:
+  enum class Forge : std::uint8_t { kSender, kPayload };
+  ForgedDelivery(net::Phase& inner, Forge forge)
+      : inner_(inner), forge_(forge) {}
+
+  void on_run_start(const Overlay& overlay) override {
+    inner_.on_run_start(overlay);
+  }
+  void on_start(net::PhaseContext& ctx) override { inner_.on_start(ctx); }
+  [[nodiscard]] bool done() const override { return inner_.done(); }
+
+ protected:
+  void on_flat(net::PhaseContext& ctx, std::span<const std::uint8_t> bytes,
+               PeerId from) override {
+    static constexpr std::uint8_t kByte[] = {0};
+    if (forge_ == Forge::kSender) {
+      inner_.on_flat(ctx, bytes, ctx.self());
+    } else {
+      inner_.on_flat(ctx, kByte, from);
+    }
+  }
+
+ private:
+  net::Phase& inner_;
+  Forge forge_;
+};
+
+void run_forged(ForgedDelivery::Forge forge) {
+  Fixture fx(line(3));
+  ConvergecastPhase<std::uint64_t> cast(
+      fx.hierarchy, TrafficCategory::kFiltering,
+      [](PeerId) { return std::uint64_t{1}; },
+      [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
+      [](const std::uint64_t&) { return std::uint64_t{4}; });
+  ForgedDelivery forged(cast, forge);
+  Engine engine(fx.overlay, fx.meter);
+  run_phase(engine, forged, 100, nullptr, {.open_on_message = false});
+}
+
+TEST(ConvergecastTest, DeliveryFromAPeerThatHandedNothingOffThrows) {
+  EXPECT_THROW(run_forged(ForgedDelivery::Forge::kSender), ProtocolError);
+}
+
+TEST(ConvergecastTest, NonEmptyPayloadThrows) {
+  EXPECT_THROW(run_forged(ForgedDelivery::Forge::kPayload), ProtocolError);
 }
 
 // Why run_phase takes PhaseOptions: under kAllPeers a peer that is down at

@@ -21,7 +21,7 @@ Overlay make_line(std::uint32_t n) {
 }
 
 /// Relays a token from peer 0 down the line, recording arrival rounds.
-class RelayProtocol final : public FlatPhase {
+class RelayProtocol final : public Phase {
  public:
   explicit RelayProtocol(std::uint32_t n) : arrival_round_(n, -1) {}
 
@@ -142,7 +142,8 @@ TEST(EngineTest, RespectsMaxRounds) {
   class Forever final : public Phase {
    public:
     void on_round(PhaseContext&) override { ++ticks; }
-    void on_message(PhaseContext&, Envelope&&) override {}
+    void on_flat(PhaseContext&, std::span<const std::uint8_t>,
+                 PeerId) override {}
     [[nodiscard]] bool done() const override { return false; }
     int ticks = 0;
   };

@@ -5,6 +5,7 @@
 #include "core/netfilter.h"
 #include "net/session.h"
 #include "net/topology.h"
+#include "obs/context.h"
 #include "workload/workload.h"
 
 namespace nf::net {
@@ -62,6 +63,33 @@ TEST(FaultModelTest, ConvergecastSurvivesHeavyLoss) {
   EXPECT_EQ(cast.result(), expect);  // exactly once, despite loss
   EXPECT_GT(engine.lost_transmissions(), 0u);
   EXPECT_GT(engine.retransmissions(), 0u);
+}
+
+TEST(FaultModelTest, EagerRetransmitsMergeEachChildExactlyOnce) {
+  // Retransmitting after one round resends every message before its ACK
+  // can return, so duplicates of each hand-off envelope reach the parent.
+  // Duplicate suppression must keep each child's aggregate to one merge.
+  Rng rng(6);
+  Overlay overlay(random_tree(80, 3, rng));
+  TrafficMeter meter(80);
+  Engine engine(overlay, meter);
+  LinkFaultModel m = lossy(0.2, 11);
+  m.retransmit_after = 1;
+  engine.set_fault_model(m);
+  obs::Context obs;
+  const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
+  agg::ConvergecastPhase<std::uint64_t> cast(
+      h, TrafficCategory::kFiltering,
+      [](PeerId p) { return std::uint64_t{p.value()} + 1; },
+      [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
+      [](const std::uint64_t&) { return std::uint64_t{4}; }, &obs);
+  net::run_phase(engine, cast, 5000, nullptr, {.open_on_message = false});
+  ASSERT_TRUE(cast.complete());
+  EXPECT_EQ(cast.result(), 80u * 81 / 2);
+  EXPECT_EQ(obs.registry.counter("convergecast/merges").value(),
+            h.num_members() - 1);
+  EXPECT_GT(engine.retransmissions(), 0u);
+  EXPECT_GT(engine.duplicates_suppressed(), 0u);
 }
 
 TEST(FaultModelTest, NetFilterStaysExactOverLossyLinks) {
@@ -155,7 +183,7 @@ TEST(FaultModelTest, GivesUpOnDeadDestinations) {
   overlay.fail(PeerId(2));
 
   /// One message into the void.
-  class SendOnce final : public FlatPhase {
+  class SendOnce final : public Phase {
    public:
     void on_round(PhaseContext& ctx) override {
       if (ctx.self() == PeerId(1) && !sent_) {

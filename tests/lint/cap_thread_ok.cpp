@@ -18,7 +18,7 @@ class Recorder {
 
 class Phase {
  public:
-  NF_SHARD_CONTEXT void on_message(std::uint64_t bytes) {
+  NF_SHARD_CONTEXT void on_flat(std::uint64_t bytes) {
     // nf-lint: nf-cap-thread-ok (single-shard replay harness, no races)
     recorder_.admit(bytes);
   }

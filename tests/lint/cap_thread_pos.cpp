@@ -18,7 +18,7 @@ class Recorder {
 
 class Phase {
  public:
-  NF_SHARD_CONTEXT void on_message(std::uint64_t bytes) {
+  NF_SHARD_CONTEXT void on_flat(std::uint64_t bytes) {
     recorder_.admit(bytes);  // engine-thread API from a shard callback
   }
 

@@ -15,8 +15,8 @@ struct Envelope {  // nf-lint: nf-envelope-discipline-ok (the definition)
 inline constexpr std::uint32_t kNoSession = 0xFFFFFFFFu;
 struct Ctx {
   // nf-lint: nf-envelope-discipline-ok (declaration, not a call site)
-  void send_tagged(std::uint32_t, std::uint64_t, std::uint32_t,
-                   std::uint32_t) {}
+  void send_flat_tagged(std::uint32_t, std::uint64_t, std::uint32_t,
+                        std::uint32_t) {}
   std::vector<Envelope> queue;
 };
 }  // namespace net
@@ -26,7 +26,8 @@ namespace fixture {
 class RuntimeShim : public net::Phase {
  public:
   void on_round(net::Ctx& ctx) {
-    ctx.send_tagged(1, 64, 7, 0);  // nf-lint: nf-envelope-discipline-ok
+    // nf-lint: nf-envelope-discipline-ok (the shim owns its tags)
+    ctx.send_flat_tagged(1, 64, 7, 0);
     // nf-lint: nf-envelope-discipline-ok (control traffic, untagged by design)
     ctx.queue.push_back(net::Envelope{0, 1});
     session_ = net::kNoSession;  // nf-lint: nf-envelope-discipline-ok

@@ -21,9 +21,14 @@ struct Ctx {
 };
 }  // namespace net
 
+namespace agg {
+// An intermediate base: its subclasses are Phase components too.
+struct PushSumPhase : net::Phase {};
+}  // namespace agg
+
 namespace fixture {
 
-class RuntimeShim : public net::Phase {
+class RuntimeShim : public agg::PushSumPhase {
  public:
   void on_round(net::Ctx& ctx) {
     parent_ = obs::kNoLineage;  // nf-lint: nf-envelope-discipline-ok

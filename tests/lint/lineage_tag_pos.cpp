@@ -1,6 +1,7 @@
 // nf-lint fixture: the lineage half of nf-envelope-discipline must fire —
 // the kNoLineage references and the hand-written envelope lineage
-// assignment — because this file declares a Phase component. Sends inside
+// assignment — because this file declares a Phase component (one derived
+// through agg::PushSumPhase, as the sparse push-sum is). Sends inside
 // Phase components must carry their causal tags via ctx.cause() / an
 // explicit parents span; the engine stamps ids in canonical merge order.
 // Never compiled; lexed by tools/nf-lint only.
@@ -22,9 +23,14 @@ struct Ctx {
 };
 }  // namespace net
 
+namespace agg {
+// An intermediate base: its subclasses are Phase components too.
+struct PushSumPhase : net::Phase {};
+}  // namespace agg
+
 namespace fixture {
 
-class UntaggedForwarder : public net::Phase {
+class UntaggedForwarder : public agg::PushSumPhase {
  public:
   void on_round(net::Ctx& ctx) {
     parent_ = obs::kNoLineage;  // hand-rolls "no parent"

@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "net/codec.h"
 #include "net/engine.h"
 #include "net/topology.h"
 
@@ -28,14 +30,27 @@ Overlay line_overlay() {
   return Overlay(std::move(topo));
 }
 
+/// Sends `token` to `to` as a varint payload charged `bytes`.
+void send_token(PhaseContext& ctx, PeerId to, std::uint64_t bytes,
+                std::uint64_t token) {
+  PayloadWriter w = ctx.flat_payload();
+  w.put_varint(token);
+  ctx.send_flat(to, TrafficCategory::kControl, bytes, w.finish());
+}
+
+std::uint32_t read_token(std::span<const std::uint8_t> bytes) {
+  std::size_t offset = 0;
+  return static_cast<std::uint32_t>(get_varint(bytes, offset));
+}
+
 /// Relays one uint32 token from peer 0 to the last peer, one hop per round.
-class RelayPhase final : public TypedPhase<std::uint32_t> {
+class RelayPhase final : public Phase {
  public:
   explicit RelayPhase(std::uint32_t token) : token_(token) {}
 
   void on_start(PhaseContext& ctx) override {
     if (ctx.self() != PeerId(0)) return;
-    this->send(ctx, PeerId(1), TrafficCategory::kControl, 8, token_);
+    send_token(ctx, PeerId(1), 8, token_);
   }
 
   [[nodiscard]] bool done() const override {
@@ -44,11 +59,11 @@ class RelayPhase final : public TypedPhase<std::uint32_t> {
   [[nodiscard]] std::uint32_t received() const { return received_; }
 
  protected:
-  void on_payload(PhaseContext& ctx, std::uint32_t&& token,
-                  PeerId /*from*/) override {
+  void on_flat(PhaseContext& ctx, std::span<const std::uint8_t> bytes,
+               PeerId /*from*/) override {
+    const std::uint32_t token = read_token(bytes);
     if (ctx.self().value() + 1 < kPeers) {
-      this->send(ctx, PeerId(ctx.self().value() + 1),
-                 TrafficCategory::kControl, 8, std::uint32_t{token});
+      send_token(ctx, PeerId(ctx.self().value() + 1), 8, token);
       return;
     }
     received_ = token;
@@ -132,13 +147,12 @@ TEST(SessionMuxTest, PerSessionTrafficTalliesSplitTheMeter) {
 
 /// Sends a token from peer 0 to peer 1 as soon as the phase opens at 0;
 /// records the round each delivery fires at.
-class SinkPhase final : public TypedPhase<std::uint32_t> {
+class SinkPhase final : public Phase {
  public:
   void on_start(PhaseContext& ctx) override {
     ++opens_;
     if (ctx.self() != PeerId(0)) return;
-    this->send(ctx, PeerId(1), TrafficCategory::kControl, 4,
-               std::uint32_t{7});
+    send_token(ctx, PeerId(1), 4, 7);
   }
 
   [[nodiscard]] bool done() const override {
@@ -152,9 +166,9 @@ class SinkPhase final : public TypedPhase<std::uint32_t> {
   }
 
  protected:
-  void on_payload(PhaseContext& ctx, std::uint32_t&& v,
-                  PeerId /*from*/) override {
-    seen_.emplace_back(v, ctx.round());
+  void on_flat(PhaseContext& ctx, std::span<const std::uint8_t> bytes,
+               PeerId /*from*/) override {
+    seen_.emplace_back(read_token(bytes), ctx.round());
   }
 
  private:
@@ -165,7 +179,7 @@ class SinkPhase final : public TypedPhase<std::uint32_t> {
 
 /// Opens the sink at peer 0 immediately and at peer 1 only in round 3 —
 /// after the sink's token has already arrived there.
-class DriverPhase final : public TypedPhase<std::uint32_t> {
+class DriverPhase final : public Phase {
  public:
   DriverPhase(SinkPhase& sink, PhaseId sink_pid)
       : sink_(sink), sink_pid_(sink_pid) {}
@@ -187,8 +201,8 @@ class DriverPhase final : public TypedPhase<std::uint32_t> {
   }
 
  protected:
-  void on_payload(PhaseContext& /*ctx*/, std::uint32_t&& /*v*/,
-                  PeerId /*from*/) override {}
+  void on_flat(PhaseContext& /*ctx*/, std::span<const std::uint8_t> /*bytes*/,
+               PeerId /*from*/) override {}
 
  private:
   SinkPhase& sink_;

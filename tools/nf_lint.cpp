@@ -228,14 +228,16 @@ void check_entropy(const SourceFile& file, const std::vector<Tok>& t,
 // Check 3: nf-envelope-discipline.
 //
 // Inside a Phase component every send must go through PhaseContext::
-// send_raw / TypedPhase::send, which thread the (session, phase) tags from
-// net/envelope.h. Hand-rolled tagging (send_tagged, raw Envelope
-// construction, kNoSession) bypasses the SessionMux's routing and traffic
-// attribution; only the session runtime itself (net/session.*, net/engine.*)
-// may touch those primitives. The same discipline covers causal lineage:
-// parents come from ctx.cause() or an explicit parents span — referencing
-// kNoLineage or writing an envelope's lineage field by hand hides the send
-// from critical-path analysis (obs/lineage.h).
+// send_flat, which threads the (session, phase) tags from net/envelope.h.
+// A Phase component is a class deriving from net::Phase, directly or
+// through agg::PushSumPhase (the one intermediate base). Hand-rolled
+// tagging (send_flat_tagged, raw Envelope construction, kNoSession)
+// bypasses the SessionMux's routing and traffic attribution; only the
+// session runtime itself (net/session.*, net/engine.*) may touch those
+// primitives. The same discipline covers causal lineage: parents come from
+// ctx.cause() or an explicit parents span — referencing kNoLineage or
+// writing an envelope's lineage field by hand hides the send from
+// critical-path analysis (obs/lineage.h).
 
 void check_envelope(const SourceFile& file, const std::vector<Tok>& t,
                     std::vector<Finding>& out) {
@@ -250,9 +252,9 @@ void check_envelope(const SourceFile& file, const std::vector<Tok>& t,
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (t[i].text != "public") continue;
     std::size_t j = i + 1;
-    if (tok_at(t, j) == "net" && tok_at(t, j + 1) == "::") j += 2;
+    while (tok_at(t, j + 1) == "::") j += 2;  // skip net:: / agg::
     const std::string& base = tok_at(t, j);
-    if (base == "Phase" || base == "TypedPhase") {
+    if (base == "Phase" || base == "PushSumPhase") {
       has_phase = true;
       break;
     }
@@ -260,11 +262,11 @@ void check_envelope(const SourceFile& file, const std::vector<Tok>& t,
   if (!has_phase) return;
   for (std::size_t i = 0; i < t.size(); ++i) {
     const std::string& s = t[i].text;
-    if (s == "send_tagged") {
+    if (s == "send_flat_tagged") {
       add_finding(out, file, Check::kEnvelopeDiscipline, t[i].line,
-                  "Phase component calls send_tagged directly: session and "
-                  "phase ids must come from the PhaseContext (send_raw / "
-                  "TypedPhase::send), not be hand-threaded");
+                  "Phase component calls send_flat_tagged directly: session "
+                  "and phase ids must come from the PhaseContext "
+                  "(send_flat), not be hand-threaded");
     } else if (s == "Envelope" && tok_at(t, i + 1) == "{") {
       add_finding(out, file, Check::kEnvelopeDiscipline, t[i].line,
                   "Phase component constructs a raw Envelope: tags bypass "
@@ -386,65 +388,7 @@ void check_obs_context(const SourceFile& file, const std::vector<Tok>& t,
 }
 
 // ---------------------------------------------------------------------------
-// Check 6: nf-flat-payload.
-//
-// The million-peer hot path ships payloads as flat slab spans (net/payload.h
-// PayloadRef into per-shard arenas) so a loss-free steady-state round loop
-// performs zero heap allocations. In files that declare a Phase component,
-// the legacy object pipeline — std::any payloads, PhaseContext::send_raw,
-// TypedPhase bases — allocates per message, so each use needs either a
-// migration to net::FlatPhase + send_flat or an inline suppression naming
-// the site legacy. net/session.h is exempt: it defines both pipelines.
-
-void check_flat_payload(const SourceFile& file, const std::vector<Tok>& t,
-                        std::vector<Finding>& out) {
-  if (path_ends_with(file.path, "net/session.h") ||
-      path_ends_with(file.path, "net/session.cpp")) {
-    return;
-  }
-  // Same Phase-subclass detection as nf-envelope-discipline: only files
-  // declaring a Phase component are held to the payload discipline.
-  bool has_phase = false;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].text != "public") continue;
-    std::size_t j = i + 1;
-    if (tok_at(t, j) == "net" && tok_at(t, j + 1) == "::") j += 2;
-    const std::string& base = tok_at(t, j);
-    if (base == "Phase" || base == "TypedPhase" || base == "FlatPhase") {
-      has_phase = true;
-      break;
-    }
-  }
-  if (!has_phase) return;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const std::string& s = t[i].text;
-    if (s == "any" && i >= 2 && t[i - 1].text == "::" &&
-        t[i - 2].text == "std") {
-      add_finding(out, file, Check::kFlatPayload, t[i].line,
-                  "Phase component mentions std::any: object payloads "
-                  "allocate per message; encode into the shard slab "
-                  "(PhaseContext::flat_payload + send_flat) instead");
-    } else if (s == "send_raw") {
-      add_finding(out, file, Check::kFlatPayload, t[i].line,
-                  "Phase component calls send_raw: the object pipeline "
-                  "allocates per message; use send_flat with a PayloadRef");
-    } else if (s == "TypedPhase") {
-      const bool direct = i > 0 && t[i - 1].text == "public";
-      const bool qualified = i >= 3 && t[i - 1].text == "::" &&
-                             t[i - 2].text == "net" &&
-                             t[i - 3].text == "public";
-      if (direct || qualified) {
-        add_finding(out, file, Check::kFlatPayload, t[i].line,
-                    "TypedPhase base ships std::any payloads; hot-path "
-                    "phases derive from net::FlatPhase and decode slab "
-                    "spans (net/codec.h)");
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Check 7: nf-link-model.
+// Check 6: nf-link-model.
 //
 // The per-link backlog ledger (net/link_model.h LinkQueueTable) is only
 // deterministic because every mutation happens on the engine thread in
@@ -528,7 +472,6 @@ std::vector<Finding> run_checks(const std::vector<std::string>& paths,
     if (enabled(Check::kObsContext)) {
       check_obs_context(file, toks, depth, out);
     }
-    if (enabled(Check::kFlatPayload)) check_flat_payload(file, toks, out);
     if (enabled(Check::kLinkModel)) check_link_model(file, toks, out);
     if (want_cap) {
       // The capability pass reads declarations, so macro-definition lines

@@ -25,7 +25,6 @@ enum class Check : std::uint8_t {
   kEnvelopeDiscipline,  // nf-envelope-discipline
   kArenaMap,            // nf-arena-map
   kObsContext,          // nf-obs-context
-  kFlatPayload,         // nf-flat-payload
   kLinkModel,           // nf-link-model
   kCapThread,           // nf-cap-thread
   kCapNoalloc,          // nf-cap-noalloc
@@ -35,8 +34,8 @@ enum class Check : std::uint8_t {
 inline constexpr Check kAllChecks[] = {
     Check::kUnorderedIteration, Check::kBannedEntropy,
     Check::kEnvelopeDiscipline, Check::kArenaMap, Check::kObsContext,
-    Check::kFlatPayload, Check::kLinkModel, Check::kCapThread,
-    Check::kCapNoalloc, Check::kCapComplete};
+    Check::kLinkModel, Check::kCapThread, Check::kCapNoalloc,
+    Check::kCapComplete};
 
 inline const char* check_name(Check c) {
   switch (c) {
@@ -50,8 +49,6 @@ inline const char* check_name(Check c) {
       return "nf-arena-map";
     case Check::kObsContext:
       return "nf-obs-context";
-    case Check::kFlatPayload:
-      return "nf-flat-payload";
     case Check::kLinkModel:
       return "nf-link-model";
     case Check::kCapThread:
@@ -75,21 +72,16 @@ inline const char* check_description(Check c) {
              "outside src/obs and bench/: draw from seeded nf::Rng or "
              "counter-keyed hash streams instead";
     case Check::kEnvelopeDiscipline:
-      return "Phase components must send through PhaseContext::send_raw / "
-             "TypedPhase::send so (session, phase) envelope tags and causal "
-             "lineage parents are threaded; raw tagging and hand-stamped "
-             "lineage ids belong to the session runtime";
+      return "Phase components must send through PhaseContext::send_flat "
+             "so (session, phase) envelope tags and causal lineage parents "
+             "are threaded; raw tagging and hand-stamped lineage ids belong "
+             "to the session runtime";
     case Check::kArenaMap:
       return "node-keyed std::map for per-peer state: peers are dense "
              "0..N-1, use PeerArena<T> (common/arena.h)";
     case Check::kObsContext:
       return "obs::Context hygiene: null-guard dereferences and hoist "
              "string-keyed metric-handle lookups out of loops";
-    case Check::kFlatPayload:
-      return "Phase components on the hot path must ship flat slab-backed "
-             "payloads (net::FlatPhase + PayloadRef, net/payload.h), not "
-             "std::any objects via TypedPhase/send_raw: object payloads "
-             "allocate per message and break the zero-alloc steady state";
     case Check::kLinkModel:
       return "LinkQueueTable state may only be mutated by the engine's "
              "canonical-order scheduler in net/engine.cpp: schedule/"

@@ -7,7 +7,7 @@
 // and attributes everything inside a body (lambdas included) to the
 // enclosing function. What it cannot see — virtual dispatch, inheritance,
 // templates specialized by name — the annotation discipline covers:
-// override sets are annotated directly (every FlatPhase::on_flat override
+// override sets are annotated directly (every Phase::on_flat override
 // carries its own NF_STEADY_NOALLOC), so roots never depend on resolving a
 // virtual call. Resolution is by qualified name when spelled, same-class
 // first for bare calls, and name-across-classes (narrowed by a
